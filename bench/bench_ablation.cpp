@@ -46,6 +46,7 @@ int run(int argc, char** argv) {
   const uint64_t num_keys = flags.get_u64("keys", 500000);
   const uint64_t ops = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 96));
+  flags.reject_unknown();
   const uint64_t budget = cache_budget_for(ycsb::SystemKind::kSphinx,
                                            num_keys);
   const auto keys = ycsb::generate_keys(ycsb::DatasetKind::kEmail,

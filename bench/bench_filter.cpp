@@ -144,8 +144,10 @@ void end_to_end_counters(uint64_t num_keys) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   sphinx::Flags flags(argc, argv);
+  const uint64_t keys = flags.get_u64("keys", 300000);
+  flags.reject_unknown();
   benchmark::RunSpecifiedBenchmarks();
   sphinx::bench::fp_rate_sweep();
-  sphinx::bench::end_to_end_counters(flags.get_u64("keys", 300000));
+  sphinx::bench::end_to_end_counters(keys);
   return 0;
 }

@@ -42,6 +42,7 @@ int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
   const std::string datasets = flags.get_string("datasets", "u64,email");
+  flags.reject_unknown();
 
   std::cout << "# Fig. 6 -- MN-side memory usage after loading " << num_keys
             << " key-value pairs (64 B values)\n\n";

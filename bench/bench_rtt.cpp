@@ -19,6 +19,7 @@ int run(int argc, char** argv) {
   const uint64_t num_keys = flags.get_u64("keys", 500000);
   const uint64_t ops_per_worker = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 24));
+  flags.reject_unknown();
 
   std::cout << "# E6 -- round trips and bytes per operation (warm caches)\n"
             << "# paper claims: Sphinx ~3 RTTs/op; ART ~1 RTT per tree level"

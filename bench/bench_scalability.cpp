@@ -169,6 +169,7 @@ int run(int argc, char** argv) {
     }
   }
   const std::string workload_tok = flags.get_string("workload", "A");
+  flags.reject_unknown();
   if (workload_tok != "churn" &&
       (workload_tok.size() != 1 ||
        std::string("ABCDEFLabcdefl").find(workload_tok[0]) ==

@@ -36,6 +36,7 @@ int run(int argc, char** argv) {
   const uint64_t num_keys = flags.get_u64("keys", 300000);
   const uint64_t ops = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 96));
+  flags.reject_unknown();
 
   {
     std::cout << "## S1 -- memory-node count (Sphinx, YCSB-C, email)\n";

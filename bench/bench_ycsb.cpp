@@ -266,22 +266,17 @@ int run(int argc, char** argv) {
   const bool scan_jump = !flags.get_bool("no-scan-jump", false);
   // PEC sizing: --no-pec wins, then an explicit --pec-budget in bytes,
   // else the default 25% carve-out (ycsb::SystemSetup).
-  const uint64_t pec_budget =
-      flags.get_bool("no-pec", false)
-          ? 0
-          : flags.has("pec-budget") ? flags.get_u64("pec-budget", 0)
-                                    : ycsb::kAutoPecBudget;
+  const uint64_t pec_flag = flags.get_u64("pec-budget", ycsb::kAutoPecBudget);
+  const uint64_t pec_budget = flags.get_bool("no-pec", false) ? 0 : pec_flag;
   // LAC sizing, same precedence: --no-lac wins, then --lac-budget, else
   // the default 25% carve-out.
-  const uint64_t lac_budget =
-      flags.get_bool("no-lac", false)
-          ? 0
-          : flags.has("lac-budget") ? flags.get_u64("lac-budget", 0)
-                                    : ycsb::kAutoLacBudget;
+  const uint64_t lac_flag = flags.get_u64("lac-budget", ycsb::kAutoLacBudget);
+  const uint64_t lac_budget = flags.get_bool("no-lac", false) ? 0 : lac_flag;
   // Pipeline depths to sweep, comma-separated (default: serial only).
   std::vector<uint32_t> depths;
-  if (!parse_u32_list("pipeline-depth", flags.get_string("pipeline-depth", "1"),
-                      &depths)) {
+  const std::string depths_flag = flags.get_string("pipeline-depth", "1");
+  flags.reject_unknown();
+  if (!parse_u32_list("pipeline-depth", depths_flag, &depths)) {
     return 2;
   }
   std::vector<JsonRecord> json_records;

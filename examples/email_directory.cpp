@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const uint64_t users = flags.get_u64("users", 200000);
   const uint64_t lookups = flags.get_u64("lookups", 30000);
   const uint32_t clients = static_cast<uint32_t>(flags.get_u64("clients", 6));
+  flags.reject_unknown();
 
   rdma::NetworkConfig net;
   mem::Cluster cluster(net, 512ull << 20);

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t num_orders = flags.get_u64("orders", 100000);
   const uint64_t pages = flags.get_u64("pages", 2000);
+  flags.reject_unknown();
 
   rdma::NetworkConfig net;
   mem::Cluster cluster(net, 512ull << 20);

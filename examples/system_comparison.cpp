@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const uint64_t num_keys = flags.get_u64("keys", 200000);
   const uint64_t ops = flags.get_u64("ops", 400);
   const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 48));
+  flags.reject_unknown();
 
   const auto keys =
       ycsb::generate_keys(ycsb::DatasetKind::kEmail, num_keys, 1);

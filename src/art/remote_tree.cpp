@@ -374,83 +374,101 @@ bool RemoteTree::insert(Slice key, Slice value) {
   return false;
 }
 
-bool RemoteTree::lock_node(const TerminatedKey& key, rdma::GlobalAddr addr,
-                           uint64_t seen_header, InnerImage* fresh,
-                           uint64_t* locked_out) {
-  if (header_status(seen_header) != NodeStatus::kIdle) {
-    note_busy_inner(key, addr, seen_header);
-    return false;
-  }
-  const uint64_t locked = lease_inner_locked(seen_header);
-  uint64_t observed = 0;
-  bool won;
-  {
-    rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
-    won = endpoint_.cas(addr, seen_header, locked, &observed,
-                        rdma::FaultSite::kLockAcquire);
-  }
-  if (!won) {
-    stats_.lock_fail_retries++;
-    if (header_busy(observed)) note_busy_inner(key, addr, observed);
-    invalidate_inner(addr);
-    return false;
-  }
-  *locked_out = locked;
-  if (fresh != nullptr) {
-    rdma::PhaseScope read_scope(endpoint_, rdma::Phase::kInnerRead);
-    RemoteTree::fetch_inner(addr, header_type(seen_header), fresh);
-  }
-  return true;
+void RemoteTree::post_lock(rdma::DoorbellBatch* batch, rdma::GlobalAddr addr,
+                           uint64_t seen, NodeLock* lock) {
+  assert(header_status(seen) == NodeStatus::kIdle);
+  lock->addr = addr;
+  lock->idle = seen;
+  lock->locked = lease_inner_locked(seen);
+  lock->cas_idx = batch->add_cas(addr, seen, lock->locked,
+                                 rdma::FaultSite::kLockAcquire);
+  // Read straight from remote memory (no fetch_inner hook): the slot
+  // checks under the lock must see the node as of the lock.
+  batch->add_read(addr, lock->image.raw(),
+                  inner_node_bytes(header_type(seen)));
 }
 
-void RemoteTree::unlock_node(rdma::GlobalAddr addr, uint64_t locked_header,
-                             uint64_t idle_header) {
+bool RemoteTree::lock_won(const TerminatedKey& key,
+                          const rdma::DoorbellBatch& batch,
+                          const NodeLock& lock) {
+  if (batch.cas_ok(lock.cas_idx)) return true;
+  stats_.lock_fail_retries++;
+  const uint64_t observed = batch.old_value(lock.cas_idx);
+  if (header_busy(observed)) note_busy_inner(key, lock.addr, observed);
+  invalidate_inner(lock.addr);
+  return false;
+}
+
+bool RemoteTree::lock_node(const TerminatedKey& key, rdma::GlobalAddr addr,
+                           uint64_t seen, NodeLock* lock) {
+  if (header_status(seen) != NodeStatus::kIdle) {
+    note_busy_inner(key, addr, seen);
+    return false;
+  }
+  rdma::DoorbellBatch batch(endpoint_);
+  post_lock(&batch, addr, seen, lock);
+  {
+    rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
+    batch.execute();
+  }
+  return lock_won(key, batch, *lock);
+}
+
+void RemoteTree::unlock_node(const NodeLock& lock) {
   // May lose only to a reclaimer that decided our lease expired; its
   // restore supersedes ours, so a failed release needs no handling.
   rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
-  endpoint_.cas(addr, locked_header, idle_header, nullptr,
+  endpoint_.cas(lock.addr, lock.locked, lock.idle, nullptr,
                 rdma::FaultSite::kLockRelease);
 }
 
-bool RemoteTree::install_slot_locked(rdma::GlobalAddr node_addr,
-                                     uint32_t slot_index, uint64_t expected,
-                                     uint64_t desired, uint64_t locked,
-                                     uint64_t idle, rdma::FaultSite site) {
-  const rdma::GlobalAddr slot_addr = node_addr.plus(
+bool RemoteTree::install_slot_locked(NodeLock* lock, uint32_t slot_index,
+                                     uint64_t expected, uint64_t desired,
+                                     rdma::FaultSite site) {
+  const rdma::GlobalAddr slot_addr = lock->addr.plus(
       kInnerHeaderBytes + static_cast<uint64_t>(slot_index) * 8);
   const bool root_with_replicas = config_.replicate_root &&
-                                  node_addr == ref_.root &&
+                                  lock->addr == ref_.root &&
                                   ref_.root_replicas.size() > 1;
   rdma::PhaseScope install_scope(endpoint_, rdma::Phase::kInnerWrite);
+  bool won;
   if (!root_with_replicas) {
     rdma::DoorbellBatch batch(endpoint_);
     const size_t cas_idx = batch.add_cas(slot_addr, expected, desired, site);
-    batch.add_cas(node_addr, locked, idle, rdma::FaultSite::kLockRelease);
+    batch.add_cas(lock->addr, lock->locked, lock->idle,
+                  rdma::FaultSite::kLockRelease);
     batch.execute();
-    return batch.cas_ok(cas_idx);
-  }
-  // Root: resolve the slot CAS first, then push the winning word to the
-  // replicas with the lock release riding the same batch. The propagation
-  // happens strictly under the root lock, so replica slot writes from
-  // different mutators can never interleave out of order. A client that
-  // crashes between the two batches leaves the root Locked with lagging
-  // replicas; lease reclamation frees the lock, and readers entering via
-  // the stale replica fall back to a primary descent (correct, one extra
-  // round trip) until the slot is next mutated.
-  const bool won = endpoint_.cas(slot_addr, expected, desired, nullptr, site);
-  rdma::DoorbellBatch post(endpoint_);
-  const uint64_t word = desired;  // write source; alive across execute()
-  if (won) {
-    for (const rdma::GlobalAddr& rep : ref_.root_replicas) {
-      if (rep == ref_.root) continue;
-      post.add_write(rep.plus(kInnerHeaderBytes +
-                              static_cast<uint64_t>(slot_index) * 8),
-                     &word, sizeof(word), rdma::FaultSite::kPayloadWrite);
+    won = batch.cas_ok(cas_idx);
+  } else {
+    // Root: resolve the slot CAS first, then push the winning word to the
+    // replicas with the lock release riding the same batch. The propagation
+    // happens strictly under the root lock, so replica slot writes from
+    // different mutators can never interleave out of order. A client that
+    // crashes between the two batches leaves the root Locked with lagging
+    // replicas; lease reclamation frees the lock, and readers entering via
+    // the stale replica fall back to a primary descent (correct, one extra
+    // round trip) until the slot is next mutated.
+    won = endpoint_.cas(slot_addr, expected, desired, nullptr, site);
+    rdma::DoorbellBatch post(endpoint_);
+    const uint64_t word = desired;  // write source; alive across execute()
+    if (won) {
+      for (const rdma::GlobalAddr& rep : ref_.root_replicas) {
+        if (rep == ref_.root) continue;
+        post.add_write(rep.plus(kInnerHeaderBytes +
+                                static_cast<uint64_t>(slot_index) * 8),
+                       &word, sizeof(word), rdma::FaultSite::kPayloadWrite);
+      }
+      stats_.root_replica_propagations++;
     }
-    stats_.root_replica_propagations++;
+    post.add_cas(lock->addr, lock->locked, lock->idle,
+                 rdma::FaultSite::kLockRelease);
+    post.execute();
   }
-  post.add_cas(node_addr, locked, idle, rdma::FaultSite::kLockRelease);
-  post.execute();
+  if (won) {
+    lock->image.set_slot(slot_index, desired);
+    lock->image.set_header(lock->idle);
+    note_inner_write(lock->addr, lock->image);
+  }
   return won;
 }
 
@@ -464,53 +482,37 @@ bool RemoteTree::insert_into_free_slot(const TerminatedKey& key, Slice value,
     return false;
   }
 
-  // One round trip: leaf payload write piggybacked with the lock CAS.
+  // One round trip: leaf payload write, lock CAS and under-lock re-read
+  // (the image from the descent may be stale).
   rdma::DoorbellBatch pre(endpoint_);
   NewLeaf leaf = make_leaf(key, value, &pre);
   if (!leaf.ok) {
     alloc_failed_ = true;  // nothing written, no lock taken
     return false;
   }
-  const uint64_t locked = lease_inner_locked(seen);
-  const size_t lock_idx =
-      pre.add_cas(node.addr, seen, locked, rdma::FaultSite::kLockAcquire);
+  NodeLock lock;
+  post_lock(&pre, node.addr, seen, &lock);
   {
     rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
     pre.execute();
   }
-  if (!pre.cas_ok(lock_idx)) {
+  if (!lock_won(key, pre, lock)) {
     allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
                     mem::AllocTag::kLeaf);
-    stats_.lock_fail_retries++;
-    const uint64_t observed = pre.old_value(lock_idx);
-    if (header_busy(observed)) note_busy_inner(key, node.addr, observed);
-    invalidate_inner(node.addr);
     return false;
   }
 
-  // Re-read under the lock: the image from the descent may be stale.
-  InnerImage fresh;
-  {
-    rdma::PhaseScope read_scope(endpoint_, rdma::Phase::kInnerRead);
-    RemoteTree::fetch_inner(node.addr, header_type(seen), &fresh);
-  }
   bool ok = false;
-  const int existing = fresh.find_pkey(branch);
-  const int free_idx = fresh.find_free(branch);
+  const int existing = lock.image.find_pkey(branch);
+  const int free_idx = lock.image.find_free(branch);
   if (existing < 0 && free_idx >= 0) {
-    const uint64_t slot_word = pack_leaf_slot(branch, leaf.units, leaf.addr);
     // Slot CAS with piggybacked lock release (replica-aware at the root).
-    ok = install_slot_locked(node.addr, static_cast<uint32_t>(free_idx), 0,
-                             slot_word, locked, seen,
+    ok = install_slot_locked(&lock, static_cast<uint32_t>(free_idx), 0,
+                             pack_leaf_slot(branch, leaf.units, leaf.addr),
                              rdma::FaultSite::kSlotInstall);
-    if (ok) {
-      fresh.set_slot(static_cast<uint32_t>(free_idx), slot_word);
-      fresh.set_header(seen);
-      note_inner_write(node.addr, fresh);
-      note_leaf_at(key.full(), leaf.addr, leaf.units);
-    }
+    if (ok) note_leaf_at(key.full(), leaf.addr, leaf.units);
   } else {
-    unlock_node(node.addr, locked, seen);
+    unlock_node(lock);
     invalidate_inner(node.addr);  // our view of this node was stale
   }
   if (!ok) {
@@ -560,7 +562,7 @@ bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
   }
   const rdma::GlobalAddr m_addr = m_alloc.addr;
 
-  // One round trip: leaf write + M write + parent lock CAS.
+  // One round trip: leaf write + M write + parent lock CAS + parent re-read.
   rdma::DoorbellBatch pre(endpoint_);
   NewLeaf leaf = make_leaf(key, value, &pre);
   if (!leaf.ok) {
@@ -578,9 +580,8 @@ bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
     m.set_slot(1, moved_slot);
   }
   pre.add_write(m_addr, m.raw(), m_bytes, rdma::FaultSite::kPayloadWrite);
-  const uint64_t locked = lease_inner_locked(seen);
-  const size_t lock_idx =
-      pre.add_cas(parent.addr, seen, locked, rdma::FaultSite::kLockAcquire);
+  NodeLock lock;
+  post_lock(&pre, parent.addr, seen, &lock);
   {
     rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
     pre.execute();
@@ -592,40 +593,27 @@ bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
     allocator_.free(m_addr, m_bytes, mem::AllocTag::kInnerNode);
   };
 
-  if (!pre.cas_ok(lock_idx)) {
+  if (!lock_won(key, pre, lock)) {
     release_allocs();
-    stats_.lock_fail_retries++;
-    const uint64_t observed = pre.old_value(lock_idx);
-    if (header_busy(observed)) note_busy_inner(key, parent.addr, observed);
-    invalidate_inner(parent.addr);
     return false;
   }
 
-  InnerImage fresh;
-  {
-    rdma::PhaseScope read_scope(endpoint_, rdma::Phase::kInnerRead);
-    RemoteTree::fetch_inner(parent.addr, header_type(seen), &fresh);
-  }
   const uint8_t parent_branch = key.byte(parent.image.depth());
-  const int idx = fresh.find_pkey(parent_branch);
-  if (idx < 0 || fresh.slot(static_cast<uint32_t>(idx)) != child_word) {
-    unlock_node(parent.addr, locked, seen);
+  const int idx = lock.image.find_pkey(parent_branch);
+  if (idx < 0 || lock.image.slot(static_cast<uint32_t>(idx)) != child_word) {
+    unlock_node(lock);
     invalidate_inner(parent.addr);  // stale view of the parent
     release_allocs();
     return false;
   }
 
-  const uint64_t m_slot = pack_inner_slot(parent_branch, mtype, m_addr);
-  if (!install_slot_locked(parent.addr, static_cast<uint32_t>(idx),
-                           child_word, m_slot, locked, seen,
+  if (!install_slot_locked(&lock, static_cast<uint32_t>(idx), child_word,
+                           pack_inner_slot(parent_branch, mtype, m_addr),
                            rdma::FaultSite::kSlotInstall)) {
     release_allocs();
     return false;
   }
 
-  fresh.set_slot(static_cast<uint32_t>(idx), m_slot);
-  fresh.set_header(seen);
-  note_inner_write(parent.addr, fresh);
   note_inner_write(m_addr, m);
   on_inner_created(key.prefix(cpl), m, m_addr);
   // Only the new key's leaf is reported: the existing leaf moved *slots*
@@ -651,39 +639,27 @@ bool RemoteTree::insert_replace_invalid_leaf(const TerminatedKey& key,
     alloc_failed_ = true;
     return false;
   }
-  const uint64_t locked = lease_inner_locked(seen);
-  const size_t lock_idx =
-      pre.add_cas(node.addr, seen, locked, rdma::FaultSite::kLockAcquire);
+  NodeLock lock;
+  post_lock(&pre, node.addr, seen, &lock);
   {
     rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
     pre.execute();
   }
-  if (!pre.cas_ok(lock_idx)) {
+  if (!lock_won(key, pre, lock)) {
     allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
                     mem::AllocTag::kLeaf);
-    stats_.lock_fail_retries++;
-    const uint64_t observed = pre.old_value(lock_idx);
-    if (header_busy(observed)) note_busy_inner(key, node.addr, observed);
     return false;
   }
 
-  InnerImage fresh;
-  {
-    rdma::PhaseScope read_scope(endpoint_, rdma::Phase::kInnerRead);
-    RemoteTree::fetch_inner(node.addr, header_type(seen), &fresh);
-  }
-  const int idx = fresh.find_pkey(branch);
+  const int idx = lock.image.find_pkey(branch);
   bool ok = false;
   if (idx >= 0 &&
-      fresh.slot(static_cast<uint32_t>(idx)) == node.taken_word) {
-    const uint64_t slot_word = pack_leaf_slot(branch, leaf.units, leaf.addr);
-    ok = install_slot_locked(node.addr, static_cast<uint32_t>(idx),
-                             node.taken_word, slot_word, locked, seen,
+      lock.image.slot(static_cast<uint32_t>(idx)) == node.taken_word) {
+    ok = install_slot_locked(&lock, static_cast<uint32_t>(idx),
+                             node.taken_word,
+                             pack_leaf_slot(branch, leaf.units, leaf.addr),
                              rdma::FaultSite::kSlotInstall);
     if (ok) {
-      fresh.set_slot(static_cast<uint32_t>(idx), slot_word);
-      fresh.set_header(seen);
-      note_inner_write(node.addr, fresh);
       note_leaf_at(key.full(), leaf.addr, leaf.units);
       // This CAS removed the last live link to the dead leaf, which makes
       // this client its retirer: the remove that invalidated it only
@@ -697,7 +673,7 @@ bool RemoteTree::insert_replace_invalid_leaf(const TerminatedKey& key,
           mem::AllocTag::kLeaf);
     }
   } else {
-    unlock_node(node.addr, locked, seen);
+    unlock_node(lock);
   }
   if (!ok) {
     allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
@@ -710,19 +686,18 @@ bool RemoteTree::type_switch(const TerminatedKey& key, Descent& d) {
   if (d.path.size() < 2) return false;  // the root (N256) never fills up
   PathEntry& node = d.path.back();
   PathEntry& parent = d.path[d.path.size() - 2];
-  const uint64_t seen_n = node.image.header();
-  InnerImage fresh_n;
-  uint64_t locked_n = 0;
-  if (!lock_node(key, node.addr, seen_n, &fresh_n, &locked_n)) return false;
+  NodeLock lock_n;
+  if (!lock_node(key, node.addr, node.image.header(), &lock_n)) return false;
+  const InnerImage& fresh_n = lock_n.image;
 
   if (fresh_n.find_free(key.byte(fresh_n.depth())) >= 0) {
     // Room appeared; plain insert will do.
-    unlock_node(node.addr, locked_n, seen_n);
+    unlock_node(lock_n);
     return false;
   }
   const NodeType new_type = next_node_type(fresh_n.type());
   if (new_type == fresh_n.type()) {
-    unlock_node(node.addr, locked_n, seen_n);
+    unlock_node(lock_n);
     return false;
   }
 
@@ -731,61 +706,51 @@ bool RemoteTree::type_switch(const TerminatedKey& key, Descent& d) {
   const mem::AllocResult grown_alloc = allocator_.try_alloc(
       node.addr.mn(), grown_bytes, mem::AllocTag::kInnerNode);
   if (!grown_alloc.ok) {
-    unlock_node(node.addr, locked_n, seen_n);
+    unlock_node(lock_n);
     alloc_failed_ = true;
     return false;
   }
   const rdma::GlobalAddr grown_addr = grown_alloc.addr;
 
-  // One round trip: write the replacement + lock the parent.
+  // One round trip: write the replacement, lock and re-read the parent.
   const uint64_t seen_p = parent.image.header();
   if (header_status(seen_p) != NodeStatus::kIdle) {
-    unlock_node(node.addr, locked_n, seen_n);
+    unlock_node(lock_n);
     allocator_.free(grown_addr, grown_bytes, mem::AllocTag::kInnerNode);
     note_busy_inner(key, parent.addr, seen_p);
     return false;
   }
-  const uint64_t locked_p = lease_inner_locked(seen_p);
   rdma::DoorbellBatch pre(endpoint_);
   pre.add_write(grown_addr, grown.raw(), grown_bytes,
                 rdma::FaultSite::kPayloadWrite);
-  const size_t lock_idx = pre.add_cas(parent.addr, seen_p, locked_p,
-                                      rdma::FaultSite::kLockAcquire);
+  NodeLock lock_p;
+  post_lock(&pre, parent.addr, seen_p, &lock_p);
   {
     rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kInnerWrite);
     pre.execute();
   }
-  if (!pre.cas_ok(lock_idx)) {
-    unlock_node(node.addr, locked_n, seen_n);
+  if (!lock_won(key, pre, lock_p)) {
+    unlock_node(lock_n);
     allocator_.free(grown_addr, grown_bytes, mem::AllocTag::kInnerNode);
-    stats_.lock_fail_retries++;
-    const uint64_t observed = pre.old_value(lock_idx);
-    if (header_busy(observed)) note_busy_inner(key, parent.addr, observed);
-    invalidate_inner(parent.addr);
     return false;
   }
 
-  InnerImage fresh_p;
-  {
-    rdma::PhaseScope read_scope(endpoint_, rdma::Phase::kInnerRead);
-    RemoteTree::fetch_inner(parent.addr, header_type(seen_p), &fresh_p);
-  }
   const uint8_t parent_branch = key.byte(parent.image.depth());
-  const int idx = fresh_p.find_pkey(parent_branch);
+  const int idx = lock_p.image.find_pkey(parent_branch);
   if (idx < 0 ||
-      fresh_p.slot(static_cast<uint32_t>(idx)) != parent.taken_word) {
-    unlock_node(parent.addr, locked_p, seen_p);
-    unlock_node(node.addr, locked_n, seen_n);
+      lock_p.image.slot(static_cast<uint32_t>(idx)) != parent.taken_word) {
+    unlock_node(lock_p);
+    unlock_node(lock_n);
     allocator_.free(grown_addr, grown_bytes, mem::AllocTag::kInnerNode);
     return false;
   }
 
-  const uint64_t new_slot = pack_inner_slot(parent_branch, new_type,
-                                            grown_addr);
-  if (!install_slot_locked(parent.addr, static_cast<uint32_t>(idx),
-                           parent.taken_word, new_slot, locked_p, seen_p,
+  if (!install_slot_locked(&lock_p, static_cast<uint32_t>(idx),
+                           parent.taken_word,
+                           pack_inner_slot(parent_branch, new_type,
+                                           grown_addr),
                            rdma::FaultSite::kSlotInstall)) {
-    unlock_node(node.addr, locked_n, seen_n);
+    unlock_node(lock_n);
     allocator_.free(grown_addr, grown_bytes, mem::AllocTag::kInnerNode);
     return false;
   }
@@ -799,15 +764,13 @@ bool RemoteTree::type_switch(const TerminatedKey& key, Descent& d) {
   // reachability probe restores it to Invalid, never Idle.
   {
     rdma::PhaseScope retire_scope(endpoint_, rdma::Phase::kInnerWrite);
-    endpoint_.write64(node.addr, with_status(seen_n, NodeStatus::kInvalid),
+    endpoint_.write64(node.addr,
+                      with_status(lock_n.idle, NodeStatus::kInvalid),
                       rdma::FaultSite::kLockRelease);
   }
   allocator_.retire(node.addr, inner_alloc_bytes(fresh_n.type()),
                     mem::AllocTag::kInnerNode);
 
-  fresh_p.set_slot(static_cast<uint32_t>(idx), new_slot);
-  fresh_p.set_header(seen_p);
-  note_inner_write(parent.addr, fresh_p);
   note_inner_write(grown_addr, grown);
   invalidate_inner(node.addr, fresh_n);
   on_inner_switched(fresh_n, node.addr, grown, grown_addr);
@@ -949,46 +912,27 @@ bool RemoteTree::update(Slice key, Slice value) {
             }
             return fail_degraded();
           }
-          const uint64_t locked_p = lease_inner_locked(seen_p);
-          const size_t lock_idx = pre.add_cas(parent.addr, seen_p, locked_p,
-                                      rdma::FaultSite::kLockAcquire);
+          NodeLock lock_p;
+          post_lock(&pre, parent.addr, seen_p, &lock_p);
           {
             rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
             pre.execute();
           }
-          if (pre.cas_ok(lock_idx)) {
-            InnerImage fresh;
-            {
-              rdma::PhaseScope read_scope(endpoint_, rdma::Phase::kInnerRead);
-              RemoteTree::fetch_inner(parent.addr, header_type(seen_p),
-                                      &fresh);
-            }
+          if (lock_won(tkey, pre, lock_p)) {
             const uint8_t branch = tkey.byte(parent.image.depth());
-            const int idx = fresh.find_pkey(branch);
-            if (idx >= 0 &&
-                fresh.slot(static_cast<uint32_t>(idx)) == parent.taken_word) {
-              const uint64_t new_slot =
-                  pack_leaf_slot(branch, leaf.units, leaf.addr);
-              done = install_slot_locked(parent.addr,
-                                         static_cast<uint32_t>(idx),
-                                         parent.taken_word, new_slot,
-                                         locked_p, seen_p,
-                                         rdma::FaultSite::kSlotInstall);
-              if (done) {
-                fresh.set_slot(static_cast<uint32_t>(idx), new_slot);
-                fresh.set_header(seen_p);
-                note_inner_write(parent.addr, fresh);
-                // The key moved to a new block: replace the cached binding
-                // in one step (no separate retire for the old address).
-                note_leaf_at(tkey.full(), leaf.addr, leaf.units);
-              }
+            const int idx = lock_p.image.find_pkey(branch);
+            if (idx >= 0 && lock_p.image.slot(static_cast<uint32_t>(idx)) ==
+                                parent.taken_word) {
+              done = install_slot_locked(
+                  &lock_p, static_cast<uint32_t>(idx), parent.taken_word,
+                  pack_leaf_slot(branch, leaf.units, leaf.addr),
+                  rdma::FaultSite::kSlotInstall);
+              // The key moved to a new block: replace the cached binding
+              // in one step (no separate retire for the old address).
+              if (done) note_leaf_at(tkey.full(), leaf.addr, leaf.units);
             } else {
-              unlock_node(parent.addr, locked_p, seen_p);
+              unlock_node(lock_p);
             }
-          } else {
-            stats_.lock_fail_retries++;
-            const uint64_t obs_p = pre.old_value(lock_idx);
-            if (header_busy(obs_p)) note_busy_inner(tkey, parent.addr, obs_p);
           }
           if (!done) {
             allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
@@ -1077,16 +1021,37 @@ bool RemoteTree::remove(Slice key) {
           stats_.op_retries++;
           continue;
         }
-        // Idle -> Invalid is the linearization point (Sec. IV, Delete).
-        uint64_t observed = 0;
-        bool won;
+        // One round trip: the Idle -> Invalid CAS, which is the
+        // linearization point (Sec. IV, Delete), then the parent lock CAS
+        // and the parent re-read for the slot cleanup. The slot cleanup
+        // runs under the parent lock. Pre-reclamation this was best-effort
+        // ("an Invalid leaf reads as absent everywhere"); with recycling, a
+        // block may only enter quarantine once its last live link is gone
+        // -- a leftover slot would otherwise dangle into a recycled block
+        // holding some other key. So retirement belongs to whoever unlinks
+        // the leaf: this clear when it lands, otherwise the
+        // insert_replace_invalid_leaf that later swaps the stale slot.
+        rdma::DoorbellBatch batch(endpoint_);
+        const size_t leaf_idx =
+            batch.add_cas(d.leaf_addr, seen,
+                          with_status(seen, NodeStatus::kInvalid),
+                          rdma::FaultSite::kLockAcquire);
+        PathEntry& parent = d.path.back();
+        const uint64_t seen_p = parent.image.header();
+        const bool parent_idle = header_status(seen_p) == NodeStatus::kIdle;
+        NodeLock lock_p;
+        if (parent_idle) post_lock(&batch, parent.addr, seen_p, &lock_p);
         {
           rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
-          won = endpoint_.cas(d.leaf_addr, seen,
-                              with_status(seen, NodeStatus::kInvalid),
-                              &observed, rdma::FaultSite::kLockAcquire);
+          batch.execute();
         }
-        if (!won) {
+        if (!batch.cas_ok(leaf_idx)) {
+          // Lost the linearization point: hand back a parent lock we won
+          // (+1 RTT, rare) and retry.
+          if (parent_idle && batch.cas_ok(lock_p.cas_idx)) {
+            unlock_node(lock_p);
+          }
+          const uint64_t observed = batch.old_value(leaf_idx);
           if (header_busy(observed)) {
             note_busy_leaf(tkey, d.leaf_addr, observed);
           }
@@ -1096,36 +1061,19 @@ bool RemoteTree::remove(Slice key) {
         // The leaf is Invalid as of the CAS above: purge this CN's cached
         // binding at the linearization point.
         note_leaf_retired(tkey.full(), d.leaf_addr);
-        // Slot cleanup under the parent lock. Pre-reclamation this was
-        // best-effort ("an Invalid leaf reads as absent everywhere"); with
-        // recycling, a block may only enter quarantine once its last live
-        // link is gone -- a leftover slot would otherwise dangle into a
-        // recycled block holding some other key. So retirement belongs to
-        // whoever unlinks the leaf: this clear when it lands, otherwise
-        // the insert_replace_invalid_leaf that later swaps the stale slot.
         bool unlinked = false;
-        PathEntry& parent = d.path.back();
-        const uint64_t seen_p = parent.image.header();
-        uint64_t locked_p = 0;
-        if (lock_node(tkey, parent.addr, seen_p, nullptr, &locked_p)) {
-          InnerImage fresh;
-          {
-            rdma::PhaseScope read_scope(endpoint_, rdma::Phase::kInnerRead);
-            RemoteTree::fetch_inner(parent.addr, header_type(seen_p), &fresh);
-          }
+        if (!parent_idle) {
+          note_busy_inner(tkey, parent.addr, seen_p);
+        } else if (lock_won(tkey, batch, lock_p)) {
           const uint8_t branch = tkey.byte(parent.image.depth());
-          const int idx = fresh.find_pkey(branch);
-          if (idx >= 0 &&
-              fresh.slot(static_cast<uint32_t>(idx)) == parent.taken_word) {
-            unlinked = install_slot_locked(parent.addr,
-                                           static_cast<uint32_t>(idx),
-                                           parent.taken_word, 0, locked_p,
-                                           seen_p, rdma::FaultSite::kNone);
-            fresh.set_slot(static_cast<uint32_t>(idx), 0);
-            fresh.set_header(seen_p);
-            note_inner_write(parent.addr, fresh);
+          const int idx = lock_p.image.find_pkey(branch);
+          if (idx >= 0 && lock_p.image.slot(static_cast<uint32_t>(idx)) ==
+                              parent.taken_word) {
+            unlinked = install_slot_locked(&lock_p, static_cast<uint32_t>(idx),
+                                           parent.taken_word, 0,
+                                           rdma::FaultSite::kNone);
           } else {
-            unlock_node(parent.addr, locked_p, seen_p);
+            unlock_node(lock_p);
           }
         }
         if (unlinked) {

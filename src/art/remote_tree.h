@@ -20,8 +20,12 @@
 //   * in-place leaf updates lock the leaf with one CAS, then publish value,
 //     Idle status and fresh checksum with a single WRITE (the paper's
 //     combined release+write);
-//   * lock acquisition/release piggybacks on payload writes via doorbell
-//     batches wherever possible.
+//   * every node lock costs one doorbell: the lock CAS and the under-lock
+//     re-read of the same node ride together, after any payload writes
+//     of the op (one MN executes a doorbell's verbs in post order);
+//   * remove posts the leaf's Idle -> Invalid CAS (its linearization
+//     point), the parent lock CAS and the parent re-read in one doorbell;
+//   * the lock release rides the slot install CAS.
 #pragma once
 
 #include <cstdint>
@@ -363,30 +367,45 @@ class RemoteTree : public KvIndex {
                                      : inner_node_bytes(t);
   }
 
-  // Acquires `addr`'s node lock given the header we last saw (must be
-  // Idle). On success re-reads the node into *fresh and stores the exact
-  // lease-stamped locked word (needed for the release CAS) in *locked_out.
-  // A non-Idle or contended header feeds the lease watch (note_busy_inner),
-  // reclaiming the lock if its lease has expired.
+  // One node lock acquisition (DESIGN.md Sec. 16). post_lock() appends the
+  // Idle -> Locked CAS and a READ of the same node to the caller's batch;
+  // one MN executes a doorbell's verbs in post order, so once the CAS has
+  // won, `image` is the node as of the lock -- the image every slot check
+  // under the lock uses. A lost CAS discards the image.
+  struct NodeLock {
+    rdma::GlobalAddr addr;
+    uint64_t idle = 0;    // the Idle header locked from (release target)
+    uint64_t locked = 0;  // lease-stamped word the release CAS expects
+    size_t cas_idx = 0;
+    InnerImage image;     // under-lock image, valid once the CAS won
+  };
+  // `seen` must be an Idle header.
+  void post_lock(rdma::DoorbellBatch* batch, rdma::GlobalAddr addr,
+                 uint64_t seen, NodeLock* lock);
+  // After the batch executed: whether the lock CAS won. A loss counts a
+  // lock-fail retry, feeds a busy header to the lease watch (reclaiming
+  // the lock if its lease has expired) and evicts any cached image.
+  bool lock_won(const TerminatedKey& key, const rdma::DoorbellBatch& batch,
+                const NodeLock& lock);
+  // post_lock() in a doorbell of its own. A non-Idle `seen` feeds the
+  // lease watch and fails without posting.
   bool lock_node(const TerminatedKey& key, rdma::GlobalAddr addr,
-                 uint64_t seen_header, InnerImage* fresh,
-                 uint64_t* locked_out);
+                 uint64_t seen, NodeLock* lock);
 
-  void unlock_node(rdma::GlobalAddr addr, uint64_t locked_header,
-                   uint64_t idle_header);
+  void unlock_node(const NodeLock& lock);
 
-  // Installs `desired` into slot `slot_index` of the locked node at
-  // `node_addr` (CAS expecting `expected`) and releases the node lock
-  // (`locked` -> `idle`). For every node but the root the two CASes ride
-  // one doorbell batch, exactly the old fused shape. For the root (with
+  // Installs `desired` into slot `slot_index` of the locked node (CAS
+  // expecting `expected`) and releases the lock. For every node but the
+  // root the two CASes ride one doorbell batch. For the root (with
   // replicas), the slot CAS goes first and -- only if it won -- the new
   // word is written to every root replica in a second batch that also
   // carries the lock release, so replicas can never lag a root whose lock
   // has been released by a live client (+1 RTT on rare root-slot
-  // mutations). Returns the slot CAS outcome.
-  bool install_slot_locked(rdma::GlobalAddr node_addr, uint32_t slot_index,
+  // mutations). When the slot CAS won, lock->image is patched to the
+  // installed state (new slot word, Idle header) and reported through
+  // note_inner_write. Returns the slot CAS outcome.
+  bool install_slot_locked(NodeLock* lock, uint32_t slot_index,
                            uint64_t expected, uint64_t desired,
-                           uint64_t locked, uint64_t idle,
                            rdma::FaultSite site);
 
   // ---- crash-tolerant locking (lease reclamation) --------------------------

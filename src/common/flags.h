@@ -1,11 +1,15 @@
 // Minimal --key=value command-line parsing for benchmark harnesses and
 // examples. Keeps the bench binaries dependency-free and self-documenting.
+// Every name a get_* call asks for is recorded; reject_unknown(),
+// called once after the last flag read, exits 2 on any flag nothing read,
+// so a misspelt flag fails instead of running the default configuration.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 
 namespace sphinx {
@@ -31,7 +35,7 @@ class Flags {
   }
 
   uint64_t get_u64(const std::string& name, uint64_t def) const {
-    auto it = values_.find(name);
+    auto it = find(name);
     if (it == values_.end()) return def;
     try {
       size_t pos = 0;
@@ -43,7 +47,7 @@ class Flags {
   }
 
   double get_double(const std::string& name, double def) const {
-    auto it = values_.find(name);
+    auto it = find(name);
     if (it == values_.end()) return def;
     try {
       size_t pos = 0;
@@ -55,21 +59,37 @@ class Flags {
   }
 
   bool get_bool(const std::string& name, bool def) const {
-    auto it = values_.find(name);
+    auto it = find(name);
     if (it == values_.end()) return def;
     return it->second == "true" || it->second == "1" || it->second == "yes";
   }
 
   std::string get_string(const std::string& name,
                          const std::string& def) const {
-    auto it = values_.find(name);
+    auto it = find(name);
     return it == values_.end() ? def : it->second;
   }
 
-  bool has(const std::string& name) const { return values_.count(name) > 0; }
   const std::string& program() const { return program_; }
 
+  // Exits 2 naming every flag that no get_* call has read.
+  void reject_unknown() const {
+    bool unknown = false;
+    for (const auto& [name, value] : values_) {
+      if (read_.count(name) > 0) continue;
+      std::cerr << program_ << ": unknown flag --" << name << "\n";
+      unknown = true;
+    }
+    if (unknown) std::exit(2);
+  }
+
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& name) const {
+    read_.insert(name);
+    return values_.find(name);
+  }
+
   [[noreturn]] static void die_bad_value(const std::string& name,
                                          const std::string& value,
                                          const char* expected) {
@@ -80,6 +100,7 @@ class Flags {
 
   std::string program_;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  // names asked for so far
 };
 
 }  // namespace sphinx

@@ -8,6 +8,12 @@
 // on (Kalia et al., ATC'16): N verbs posted together cost one round trip;
 // all of them execute unconditionally and report individual results, exactly
 // like hardware (a failed CAS does not suppress a later WRITE in the batch).
+// One MN executes a batch's verbs in post order, which the tree protocol
+// builds on twice: a leaf publish writes the body before the header that
+// releases its lock, and every node lock posts its CAS before a READ of the
+// same node, so a won CAS comes back with the under-lock image in the same
+// round trip (DESIGN.md Sec. 16). The protocol assumes no order between
+// verbs to different MNs.
 //
 // When a FaultInjector is installed on the fabric (fault_injector.h), every
 // metered verb -- standalone or inside a batch -- consults it first and may

@@ -376,6 +376,59 @@ TEST_F(ArtIndexTest, SearchCostsOneRttPerLevel) {
   EXPECT_EQ(endpoint_->stats().round_trips - before, 2u);
 }
 
+TEST_F(ArtIndexTest, MutationsCostOneDoorbellPerLock) {
+  // Every node lock is one doorbell: the lock CAS and the under-lock
+  // re-read ride together, and remove's leaf CAS rides its parent's lock.
+  // The target node M sits below the root, whose slot installs take a
+  // second doorbell for replica propagation. Warm-up inserts lease an
+  // allocator chunk on every MN first, so no FAA hides in the costs.
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(index_->insert("w" + std::to_string(i), "v"));
+  }
+  ASSERT_TRUE(index_->insert("ab1", "v"));
+  ASSERT_TRUE(index_->insert("ab2", "v"));  // splits root slot 'a' into M
+  const TreeStats warm = index_->tree_stats();
+
+  // Round trips one op spends, checked against its per-phase split.
+  auto rtts_of = [&](auto&& op) -> uint64_t {
+    const rdma::EndpointStats before = endpoint_->stats();
+    EXPECT_TRUE(op());
+    const rdma::EndpointStats delta = endpoint_->stats() - before;
+    EXPECT_EQ(delta.rtts_sum_by_phase(), delta.round_trips);
+    EXPECT_EQ(
+        delta.rtts_by_phase[static_cast<size_t>(rdma::Phase::kAlloc)], 0u);
+    return delta.round_trips;
+  };
+  // Descents: root + M reads reach M's free slot (2 round trips); a leaf
+  // under M adds its read (3).
+  constexpr uint64_t kToFreeSlot = 2;
+  constexpr uint64_t kToLeaf = 3;
+
+  // Leaf write + M lock + M re-read, then slot CAS + release.
+  EXPECT_EQ(rtts_of([&] { return index_->insert("ab3", "v"); }) - kToFreeSlot,
+            2u);
+  // "ab1z" collides with leaf "ab1" under M: leaf + new node writes + M
+  // lock + M re-read, then slot CAS + release.
+  EXPECT_EQ(rtts_of([&] { return index_->insert("ab1z", "v"); }) - kToLeaf,
+            2u);
+  EXPECT_EQ(index_->tree_stats().splits - warm.splits, 1u);
+  // Leaf Idle -> Invalid + M lock + M re-read, then slot clear + release.
+  EXPECT_EQ(rtts_of([&] { return index_->remove("ab2"); }) - kToLeaf, 2u);
+  // Growing update: leaf lock, then new leaf + M lock + M re-read, slot
+  // CAS + release, and the old leaf's Invalid write.
+  const std::string big(300, 'B');
+  EXPECT_EQ(rtts_of([&] { return index_->update("ab3", big); }) - kToLeaf,
+            4u);
+  EXPECT_EQ(index_->tree_stats().op_retries, warm.op_retries);
+
+  std::string v;
+  EXPECT_FALSE(index_->search("ab2", &v));
+  ASSERT_TRUE(index_->search("ab3", &v));
+  EXPECT_EQ(v, big);
+  EXPECT_TRUE(index_->search("ab1z", &v));
+  EXPECT_TRUE(index_->search("ab1", &v));
+}
+
 TEST_F(ArtIndexTest, MemoryAccountingGrowsAndShrinks) {
   mem::AllocStats& stats = cluster_->alloc_stats();
   const uint64_t inner0 = stats.requested_bytes(mem::AllocTag::kInnerNode);

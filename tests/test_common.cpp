@@ -4,8 +4,11 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/dist.h"
+#include "common/flags.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -268,6 +271,33 @@ TEST(TablePrinter, Formatters) {
   EXPECT_EQ(TablePrinter::fmt_us(2130), "2.13 us");
   EXPECT_EQ(TablePrinter::fmt_ratio(2.4), "2.40x");
   EXPECT_EQ(TablePrinter::fmt_percent(0.033), "3.30%");
+}
+
+// ---- flags -------------------------------------------------------------------
+
+// Flags over the command line `bench <args...>`.
+Flags make_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return Flags(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Flags, EveryReadFlagPassesTheUnknownCheck) {
+  Flags flags = make_flags({"--keys=2000", "--warmup", "--json=o.json"});
+  EXPECT_EQ(flags.get_u64("keys", 1), 2000u);
+  EXPECT_TRUE(flags.get_bool("warmup", false));
+  EXPECT_EQ(flags.get_string("json", ""), "o.json");
+  EXPECT_EQ(flags.get_double("faults", 0.5), 0.5);  // absent: default
+  flags.reject_unknown();  // returns: nothing unread
+}
+
+TEST(FlagsDeathTest, UnreadFlagExitsTwoNamingIt) {
+  Flags flags = make_flags({"--keys=2000", "--pipline-depth=8"});
+  EXPECT_EQ(flags.get_u64("keys", 1), 2000u);
+  EXPECT_EQ(flags.get_string("pipeline-depth", "1"), "1");
+  EXPECT_EXIT(flags.reject_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --pipline-depth");
 }
 
 }  // namespace

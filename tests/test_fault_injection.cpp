@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "art/art_index.h"
 #include "core/sphinx_index.h"
 #include "rdma/endpoint.h"
 #include "rdma/fabric.h"
@@ -481,6 +482,83 @@ TEST(FaultInjection, InjectedInhtFailuresDriveSphinxRetryPaths) {
   }
   EXPECT_GT(bare.sphinx_stats().fp_rejects, 0u);
   cluster->fabric().set_fault_injector(nullptr);
+}
+
+// The parent node and the leaf its slot for `key` links to, found by an
+// unmetered root-to-leaf walk.
+struct LeafLink {
+  GlobalAddr parent;
+  GlobalAddr leaf;
+};
+
+LeafLink find_leaf_link(rdma::Endpoint& loader, const art::TreeRef& ref,
+                        const std::string& key) {
+  const art::TerminatedKey tkey{Slice(key)};
+  GlobalAddr addr = ref.root;
+  art::NodeType type = art::NodeType::kN256;
+  art::InnerImage node;
+  for (;;) {
+    loader.read(addr, node.raw(), art::inner_node_bytes(type));
+    const int idx = node.find_pkey(tkey.byte(node.depth()));
+    if (idx < 0) return {addr, GlobalAddr()};
+    const uint64_t word = node.slot(static_cast<uint32_t>(idx));
+    if (art::slot_is_leaf(word)) return {addr, art::slot_addr(word)};
+    addr = art::slot_addr(word);
+    type = art::slot_child_type(word);
+  }
+}
+
+TEST(FaultInjection, RemoveReleasesParentWhenLeafCasLoses) {
+  // remove posts the leaf's Idle -> Invalid CAS, the parent lock CAS and
+  // the parent re-read in one doorbell. Fail only the leaf CAS (a rule
+  // scoped to the leaf's MN): the parent lock wins, so remove must hand it
+  // back before retrying, or the retry finds the parent Locked and the
+  // leaf stays linked and unretired.
+  auto cluster = testing::make_test_cluster();
+  const art::TreeRef ref = art::create_tree(*cluster);
+  rdma::Endpoint ep(cluster->fabric(), 0, true);
+  mem::RemoteAllocator alloc(*cluster, ep);
+  art::ArtIndex index(*cluster, ep, alloc, ref);
+  rdma::Endpoint loader = cluster->make_loader_endpoint();
+
+  std::string victim;
+  LeafLink link;
+  for (char c = 'a'; c <= 'p'; ++c) {
+    ASSERT_TRUE(index.insert(std::string("rm") + c, "v"));
+  }
+  for (char c = 'a'; c <= 'p' && victim.empty(); ++c) {
+    const std::string key = std::string("rm") + c;
+    link = find_leaf_link(loader, ref, key);
+    if (link.leaf.mn() != link.parent.mn()) victim = key;
+  }
+  ASSERT_FALSE(victim.empty()) << "no leaf off its parent's MN";
+
+  rdma::FaultInjector injector(17);
+  FaultRule rule;
+  rule.kind = FaultKind::kCasFail;
+  rule.mn = static_cast<int32_t>(link.leaf.mn());
+  rule.site = FaultSite::kLockAcquire;
+  rule.max_fires = 1;
+  injector.add_rule(rule);
+  cluster->fabric().set_fault_injector(&injector);
+
+  const mem::AllocStats& as = cluster->alloc_stats();
+  const uint64_t retired0 =
+      as.retired_blocks_outstanding() + as.reclaimed_blocks();
+  const uint64_t retries0 = index.tree_stats().op_retries;
+  EXPECT_TRUE(index.remove(victim));
+  cluster->fabric().set_fault_injector(nullptr);
+  EXPECT_EQ(injector.stats().cas_failures, 1u);
+  EXPECT_EQ(index.tree_stats().op_retries - retries0, 1u);
+
+  EXPECT_EQ(art::header_status(loader.read64(link.parent)),
+            art::NodeStatus::kIdle);
+  std::string v;
+  EXPECT_FALSE(index.search(victim, &v));
+  EXPECT_EQ(find_leaf_link(loader, ref, victim).leaf, GlobalAddr());
+  EXPECT_EQ(as.retired_blocks_outstanding() + as.reclaimed_blocks() -
+                retired0,
+            1u);
 }
 
 TEST(FaultInjection, MnOutageDuringInsertsLosesNoData) {

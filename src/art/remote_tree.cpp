@@ -88,41 +88,13 @@ RemoteTree::Descent& RemoteTree::descend(const TerminatedKey& key,
   // building them in place (and keeping the vector's capacity across
   // operations) keeps the per-op hot path allocation- and memcpy-free.
   Descent& d = descent_;
-  d.status = DescendStatus::kNeedRetry;
-  d.from_custom_start = false;
-  d.used_replica_root = false;
-  d.path.clear();
-  d.leaf_addr = rdma::GlobalAddr();
-  d.cpl = 0;
-
-  begin_descend();
-  d.path.emplace_back();
+  begin_descent(d);
   if (allow_custom_start && find_start(key, &d.path.back())) {
     d.from_custom_start = true;
   } else {
-    PathEntry& start = d.path.back();
-    // The path records the PRIMARY root address even when the image below
-    // is read from a replica: every mutation must CAS the one
-    // authoritative root, and a replica that lagged then simply fails the
-    // expected-value CAS and retries through the primary.
-    start.addr = ref_.root;
-    start.parent_depth = 0;
-    start.taken_slot = -1;
-    start.taken_word = 0;
-    rdma::GlobalAddr fetch_addr = ref_.root;
-    if (allow_replica_root && config_.replicate_root &&
-        !ref_.root_replicas.empty()) {
-      fetch_addr =
-          ref_.root_replicas[root_read_seq_++ % ref_.root_replicas.size()];
-    }
-    d.used_replica_root = fetch_addr != ref_.root;
-    if (d.used_replica_root) {
-      stats_.root_replica_reads++;
-    } else {
-      stats_.root_primary_reads++;
-    }
+    const rdma::GlobalAddr fetch_addr = enter_at_root(d, allow_replica_root);
     rdma::PhaseScope root_scope(endpoint_, rdma::Phase::kInnerRead);
-    if (!fetch_inner(fetch_addr, NodeType::kN256, &start.image)) {
+    if (!fetch_inner(fetch_addr, NodeType::kN256, &d.path.back().image)) {
       d.path.pop_back();
       d.status = DescendStatus::kNeedRetry;
       return d;
@@ -131,86 +103,157 @@ RemoteTree::Descent& RemoteTree::descend(const TerminatedKey& key,
 
   // Everything below is the inner-node walk; the leaf read re-tags itself.
   rdma::PhaseScope descend_scope(endpoint_, rdma::Phase::kInnerRead);
-  for (uint32_t level = 0; level < kMaxKeyLen; ++level) {
-    PathEntry& cur = d.path.back();
-    endpoint_.advance_local(
-        config_.local_ns_per_node +
-        static_cast<uint64_t>(cur.image.size_bytes() /
-                              config_.cpu_bytes_per_ns));
-
-    if (cur.image.status() == NodeStatus::kInvalid) {
-      stats_.invalid_node_retries++;
-      invalidate_inner(cur.addr, cur.image);
-      d.path.pop_back();
-      d.status = DescendStatus::kNeedRetry;
-      return d;
-    }
-    const uint32_t depth = cur.image.depth();
-    if (depth >= key.size() || !cur.image.frag_consistent(key,
-                                                          cur.parent_depth)) {
-      cur.taken_slot = -1;
-      d.status = DescendStatus::kFragMismatch;
-      return d;
-    }
-    on_visit_inner(key, cur);
-
-    const uint8_t branch = key.byte(depth);
-    const int idx = cur.image.find_pkey(branch);
-    if (idx < 0) {
-      cur.taken_slot = -1;
-      d.status = DescendStatus::kNoSlot;
-      return d;
-    }
-    const uint64_t slot_word = cur.image.slot(static_cast<uint32_t>(idx));
-    cur.taken_slot = idx;
-    cur.taken_word = slot_word;
-
-    if (slot_is_leaf(slot_word)) {
-      d.leaf_addr = slot_addr(slot_word);
-      rdma::PhaseScope leaf_scope(endpoint_, rdma::Phase::kLeafRead);
-      if (!read_leaf(d.leaf_addr, slot_leaf_units(slot_word), &d.leaf)) {
-        invalidate_inner(d.path.back().addr, d.path.back().image);
-        d.status = DescendStatus::kNeedRetry;
+  for (;;) {
+    switch (descend_step(key, d)) {
+      case DescendStep::kDone:
         return d;
+      case DescendStep::kFetchInner: {
+        PathEntry& child = d.path.back();
+        if (!fetch_inner(child.addr, child_type(d), &child.image)) {
+          d.path.pop_back();
+          d.status = DescendStatus::kNeedRetry;
+          return d;
+        }
+        if (!child_landed(d)) return d;
+        break;
       }
-      if (d.leaf.status() == NodeStatus::kInvalid) {
-        d.status = DescendStatus::kFoundInvalidLeaf;
-        return d;
+      case DescendStep::kReadLeaf: {
+        rdma::PhaseScope leaf_scope(endpoint_, rdma::Phase::kLeafRead);
+        for (uint32_t reads = 1;; ++reads) {
+          endpoint_.read(d.leaf_addr, d.leaf.buf().data(),
+                         d.leaf.buf().size());
+          if (leaf_landed(key, d, reads)) return d;
+        }
       }
-      if (d.leaf.key() == key.full()) {
-        d.status = DescendStatus::kFoundLeaf;
-        return d;
-      }
-      d.cpl = static_cast<uint32_t>(
-          d.leaf.key().common_prefix_len(key.full()));
-      d.status = DescendStatus::kLeafMismatch;
-      return d;
-    }
-
-    d.path.emplace_back();
-    PathEntry& child = d.path.back();
-    child.addr = slot_addr(slot_word);
-    child.parent_depth = depth;
-    child.taken_slot = -1;
-    child.taken_word = 0;
-    if (!fetch_inner(child.addr, slot_child_type(slot_word), &child.image)) {
-      d.path.pop_back();
-      d.status = DescendStatus::kNeedRetry;
-      return d;
-    }
-    if (child.image.type() != slot_child_type(slot_word) ||
-        child.image.depth() <= depth) {
-      // Stale slot (node switched or memory inconsistent): retry.
-      invalidate_inner(child.addr, child.image);
-      const PathEntry& parent = d.path[d.path.size() - 2];
-      invalidate_inner(parent.addr, parent.image);
-      d.path.pop_back();
-      d.status = DescendStatus::kNeedRetry;
-      return d;
     }
   }
+}
+
+void RemoteTree::begin_descent(Descent& d) {
   d.status = DescendStatus::kNeedRetry;
-  return d;
+  d.from_custom_start = false;
+  d.used_replica_root = false;
+  d.path.clear();
+  d.leaf_addr = rdma::GlobalAddr();
+  d.cpl = 0;
+  begin_descend();
+  d.path.emplace_back();
+}
+
+rdma::GlobalAddr RemoteTree::enter_at_root(Descent& d,
+                                           bool allow_replica_root) {
+  PathEntry& start = d.path.back();
+  // The path records the PRIMARY root address even when the image below
+  // is read from a replica: every mutation must CAS the one authoritative
+  // root, and a replica that lagged then simply fails the expected-value
+  // CAS and retries through the primary.
+  start.addr = ref_.root;
+  start.parent_depth = 0;
+  start.taken_slot = -1;
+  start.taken_word = 0;
+  rdma::GlobalAddr fetch_addr = ref_.root;
+  if (allow_replica_root && config_.replicate_root &&
+      !ref_.root_replicas.empty()) {
+    fetch_addr =
+        ref_.root_replicas[root_read_seq_++ % ref_.root_replicas.size()];
+  }
+  d.used_replica_root = fetch_addr != ref_.root;
+  if (d.used_replica_root) {
+    stats_.root_replica_reads++;
+  } else {
+    stats_.root_primary_reads++;
+  }
+  return fetch_addr;
+}
+
+RemoteTree::DescendStep RemoteTree::descend_step(const TerminatedKey& key,
+                                                 Descent& d) {
+  if (d.path.size() > kMaxKeyLen) {
+    d.status = DescendStatus::kNeedRetry;
+    return DescendStep::kDone;
+  }
+  PathEntry& cur = d.path.back();
+  endpoint_.advance_local(
+      config_.local_ns_per_node +
+      static_cast<uint64_t>(cur.image.size_bytes() / config_.cpu_bytes_per_ns));
+
+  if (cur.image.status() == NodeStatus::kInvalid) {
+    stats_.invalid_node_retries++;
+    invalidate_inner(cur.addr, cur.image);
+    d.path.pop_back();
+    d.status = DescendStatus::kNeedRetry;
+    return DescendStep::kDone;
+  }
+  const uint32_t depth = cur.image.depth();
+  if (depth >= key.size() || !cur.image.frag_consistent(key,
+                                                        cur.parent_depth)) {
+    cur.taken_slot = -1;
+    d.status = DescendStatus::kFragMismatch;
+    return DescendStep::kDone;
+  }
+  on_visit_inner(key, cur);
+
+  const uint8_t branch = key.byte(depth);
+  const int idx = cur.image.find_pkey(branch);
+  if (idx < 0) {
+    cur.taken_slot = -1;
+    d.status = DescendStatus::kNoSlot;
+    return DescendStep::kDone;
+  }
+  const uint64_t slot_word = cur.image.slot(static_cast<uint32_t>(idx));
+  cur.taken_slot = idx;
+  cur.taken_word = slot_word;
+
+  if (slot_is_leaf(slot_word)) {
+    d.leaf_addr = slot_addr(slot_word);
+    d.leaf.resize(slot_leaf_units(slot_word));
+    return DescendStep::kReadLeaf;
+  }
+  d.path.emplace_back();
+  PathEntry& child = d.path.back();
+  child.addr = slot_addr(slot_word);
+  child.parent_depth = depth;
+  child.taken_slot = -1;
+  child.taken_word = 0;
+  return DescendStep::kFetchInner;
+}
+
+bool RemoteTree::child_landed(Descent& d) {
+  const PathEntry& child = d.path.back();
+  if (child.image.type() == child_type(d) &&
+      child.image.depth() > child.parent_depth) {
+    return true;
+  }
+  // Stale slot (node switched or memory inconsistent): retry.
+  invalidate_inner(child.addr, child.image);
+  const PathEntry& parent = d.path[d.path.size() - 2];
+  invalidate_inner(parent.addr, parent.image);
+  d.path.pop_back();
+  d.status = DescendStatus::kNeedRetry;
+  return false;
+}
+
+bool RemoteTree::leaf_landed(const TerminatedKey& key, Descent& d,
+                             uint32_t reads) {
+  const uint32_t units = slot_leaf_units(d.path.back().taken_word);
+  if (d.leaf.units() != units ||
+      d.leaf.revalidate() == LeafImage::Revalidate::kBad) {
+    stats_.torn_leaf_rereads++;
+    if (reads < config_.max_leaf_reread) return false;
+    invalidate_inner(d.path.back().addr, d.path.back().image);
+    d.status = DescendStatus::kNeedRetry;
+    return true;
+  }
+  if (d.leaf.status() == NodeStatus::kInvalid) {
+    d.status = DescendStatus::kFoundInvalidLeaf;
+  } else if (d.leaf.key() == key.full()) {
+    d.status = DescendStatus::kFoundLeaf;
+  } else {
+    d.cpl =
+        static_cast<uint32_t>(d.leaf.key().common_prefix_len(key.full()));
+    d.status = DescendStatus::kLeafMismatch;
+  }
+  return true;
 }
 
 // ---- search -----------------------------------------------------------------
@@ -218,56 +261,77 @@ RemoteTree::Descent& RemoteTree::descend(const TerminatedKey& key,
 bool RemoteTree::search(Slice key, std::string* value_out) {
   mem::EpochPin epoch(allocator_);
   const TerminatedKey tkey(key);
-  bool allow_custom = true;
   rdma::RetryPolicy policy(endpoint_, config_.retry, &stats_.backoff);
-  for (uint32_t r = 0;; ++r) {
+  return search_attempts(tkey, value_out, policy, 0, /*allow_custom=*/true);
+}
+
+bool RemoteTree::search_attempts(const TerminatedKey& key,
+                                 std::string* value_out,
+                                 rdma::RetryPolicy& policy, uint32_t first,
+                                 bool allow_custom) {
+  for (uint32_t r = first;; ++r) {
     if (!policy.backoff(r)) break;
-    Descent& d = descend(tkey, allow_custom && r < 8, r == 0);
-    switch (d.status) {
-      case DescendStatus::kFoundLeaf:
-        if (value_out != nullptr) {
-          value_out->assign(d.leaf.value().data(), d.leaf.value().size());
-        }
-        // The descent just proved key -> (leaf_addr, units) fresh against
-        // remote memory: feed the leaf address cache.
-        note_leaf_at(d.leaf.key(), d.leaf_addr, d.leaf.units());
+    Descent& d = descend(key, allow_custom && r < 8, r == 0);
+    switch (search_verdict(d, value_out, r, &allow_custom)) {
+      case SearchVerdict::kFound:
         return true;
-      case DescendStatus::kFoundInvalidLeaf:
-      case DescendStatus::kNoSlot:
-      case DescendStatus::kLeafMismatch:
-      case DescendStatus::kFragMismatch:
-        if (d.from_custom_start) {
-          // A false positive or stale shortcut could have landed us in the
-          // wrong subtree; re-verify from the root (paper Sec. III-B).
-          stats_.start_fallbacks++;
-          allow_custom = false;
-          continue;
-        }
-        if (descent_used_cache() || d.used_replica_root) {
-          // SMART reverse check: an absent verdict derived from cached
-          // nodes must be confirmed against remote memory. The same
-          // discipline covers a root-replica entry (the replica may lag
-          // the primary by one propagation): the retry descends through
-          // the primary, since only first attempts route to replicas.
-          if (descent_used_cache()) {
-            for (const PathEntry& e : d.path) invalidate_inner(e.addr);
-            set_cache_bypass(true);
-          }
-          if (d.used_replica_root) stats_.root_replica_rechecks++;
-          stats_.op_retries++;
-          continue;
-        }
+      case SearchVerdict::kAbsent:
         return false;
-      case DescendStatus::kNeedRetry:
-      case DescendStatus::kTimedOut:
-        stats_.op_retries++;
-        if (r >= 4) allow_custom = false;
+      case SearchVerdict::kRetry:
         continue;
     }
   }
   stats_.recovery.retry_timeouts++;
   stats_.ops_failed++;
   return false;
+}
+
+RemoteTree::SearchVerdict RemoteTree::search_verdict(Descent& d,
+                                                     std::string* value_out,
+                                                     uint32_t r,
+                                                     bool* allow_custom) {
+  switch (d.status) {
+    case DescendStatus::kFoundLeaf:
+      if (value_out != nullptr) {
+        value_out->assign(d.leaf.value().data(), d.leaf.value().size());
+      }
+      // The descent just proved key -> (leaf_addr, units) fresh against
+      // remote memory: feed the leaf address cache.
+      note_leaf_at(d.leaf.key(), d.leaf_addr, d.leaf.units());
+      return SearchVerdict::kFound;
+    case DescendStatus::kFoundInvalidLeaf:
+    case DescendStatus::kNoSlot:
+    case DescendStatus::kLeafMismatch:
+    case DescendStatus::kFragMismatch:
+      if (d.from_custom_start) {
+        // A false positive or stale shortcut could have landed us in the
+        // wrong subtree; re-verify from the root (paper Sec. III-B).
+        stats_.start_fallbacks++;
+        *allow_custom = false;
+        return SearchVerdict::kRetry;
+      }
+      if (descent_used_cache() || d.used_replica_root) {
+        // SMART reverse check: an absent verdict derived from cached
+        // nodes must be confirmed against remote memory. The same
+        // discipline covers a root-replica entry (the replica may lag
+        // the primary by one propagation): the retry descends through
+        // the primary, since only first attempts route to replicas.
+        if (descent_used_cache()) {
+          for (const PathEntry& e : d.path) invalidate_inner(e.addr);
+          set_cache_bypass(true);
+        }
+        if (d.used_replica_root) stats_.root_replica_rechecks++;
+        stats_.op_retries++;
+        return SearchVerdict::kRetry;
+      }
+      return SearchVerdict::kAbsent;
+    case DescendStatus::kNeedRetry:
+    case DescendStatus::kTimedOut:
+      stats_.op_retries++;
+      if (r >= 4) *allow_custom = false;
+      return SearchVerdict::kRetry;
+  }
+  return SearchVerdict::kRetry;
 }
 
 // ---- insert -----------------------------------------------------------------

@@ -311,6 +311,50 @@ class RemoteTree : public KvIndex {
   Descent& descend(const TerminatedKey& key, bool allow_custom_start,
                    bool allow_replica_root = false);
 
+  // ---- descent steps --------------------------------------------------------
+  // descend() is the one-op driver of these steps. Sphinx's pipelined
+  // search drives the same steps for many ops at once, posting each op's
+  // next read into one shared doorbell round (core/sphinx_index.h), so one
+  // copy of the walk exists.
+
+  enum class DescendStep {
+    kDone,        // d.status holds the descent's verdict
+    kFetchInner,  // fetch the child at d.path.back() (type: child_type(d))
+    kReadLeaf,    // read d.leaf (sized) from d.leaf_addr
+  };
+  // Resets `d` and adds its (still empty) start entry.
+  void begin_descent(Descent& d);
+  // Makes d.path.back() the root entry and returns the address to read its
+  // Node-256 image from: the primary, or a replica when allowed.
+  rdma::GlobalAddr enter_at_root(Descent& d, bool allow_replica_root);
+  // The local work of one level at d.path.back(): node CPU charge, status
+  // and fragment checks, slot lookup. Ends the descent or names its next
+  // read.
+  DescendStep descend_step(const TerminatedKey& key, Descent& d);
+  static NodeType child_type(const Descent& d) {
+    return slot_child_type(d.path[d.path.size() - 2].taken_word);
+  }
+  // After a kFetchInner image landed: false when the slot was stale (the
+  // child is popped and d.status is kNeedRetry).
+  bool child_landed(Descent& d);
+  // After read number `reads` (from 1) of a kReadLeaf leaf landed: true
+  // once d.status holds the verdict, false to read the leaf again (torn
+  // image, rereads left).
+  bool leaf_landed(const TerminatedKey& key, Descent& d, uint32_t reads);
+
+  // ---- search retry loop ----------------------------------------------------
+  enum class SearchVerdict { kFound, kAbsent, kRetry };
+  // What attempt `r`'s descent means for a point search: found (value
+  // copied out, binding noted), absent, or retry (counters bumped,
+  // *allow_custom cleared when the shortcut must be abandoned).
+  SearchVerdict search_verdict(Descent& d, std::string* value_out, uint32_t r,
+                               bool* allow_custom);
+  // search()'s retry loop from attempt `first` on. `policy` must have been
+  // created before attempt 0 (its op token is the verb sequence then).
+  bool search_attempts(const TerminatedKey& key, std::string* value_out,
+                       rdma::RetryPolicy& policy, uint32_t first,
+                       bool allow_custom);
+
   // Memory node placement (consistent hashing, Sec. III).
   uint32_t mn_for_prefix(uint64_t hash) const {
     return cluster_.ring().mn_for(hash);

@@ -1,6 +1,8 @@
 #include "common/dist.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace sphinx {
 
@@ -38,6 +40,20 @@ uint64_t ZipfianDistribution::next(Rng& rng) {
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_);
   uint64_t idx = static_cast<uint64_t>(v);
   return idx >= n_ ? n_ - 1 : idx;
+}
+
+void LatestDistribution::acknowledge(uint64_t index) {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t frontier = frontier_.load(std::memory_order_relaxed);
+  if (index < frontier) return;
+  acked_.push_back(index);
+  std::push_heap(acked_.begin(), acked_.end(), std::greater<>());
+  while (!acked_.empty() && acked_.front() == frontier) {
+    std::pop_heap(acked_.begin(), acked_.end(), std::greater<>());
+    acked_.pop_back();
+    ++frontier;
+  }
+  frontier_.store(frontier, std::memory_order_release);
 }
 
 }  // namespace sphinx

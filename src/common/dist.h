@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -66,18 +68,26 @@ class ScrambledZipfianDistribution final : public IndexDistribution {
   uint64_t n_;
 };
 
-// YCSB "latest": the most recently inserted records are the hottest.
-// The insert frontier is shared (atomic) across worker threads.
+// YCSB "latest": the most recently inserted records are the hottest. The
+// frontier is an acknowledged watermark, as in YCSB's
+// AcknowledgedCounterGenerator: inserts claim indexes in order but finish
+// out of order (across workers, and a pipelined batch's inserts only after
+// the batch), so the frontier moves only over a contiguous run of
+// acknowledged claims and the newest rank never names an index whose
+// insert has not finished. Shared across worker threads.
 class LatestDistribution final : public IndexDistribution {
  public:
-  explicit LatestDistribution(uint64_t initial_count)
-      : frontier_(initial_count), zipf_(initial_count) {}
+  // `first_claim`: the first index inserts will claim; every index below
+  // it is drawable from the start.
+  explicit LatestDistribution(uint64_t first_claim)
+      : frontier_(first_claim), zipf_(first_claim) {}
 
-  // Records that a new key was inserted; subsequent draws may select it.
-  void advance_frontier() { frontier_.fetch_add(1, std::memory_order_relaxed); }
+  // Marks the insert of claimed index `index` finished -- landed, failed
+  // or abandoned by a crash. Each claim is acknowledged once.
+  void acknowledge(uint64_t index);
 
   uint64_t next(Rng& rng) override {
-    const uint64_t n = frontier_.load(std::memory_order_relaxed);
+    const uint64_t n = frontier_.load(std::memory_order_acquire);
     // Draw a zipfian rank and mirror it so rank 0 maps to the newest item.
     uint64_t rank = zipf_.next(rng);
     if (rank >= n) rank = n - 1;
@@ -86,6 +96,9 @@ class LatestDistribution final : public IndexDistribution {
 
  private:
   std::atomic<uint64_t> frontier_;
+  std::mutex mu_;
+  // Acknowledged claims above the frontier, as a min-heap.
+  std::vector<uint64_t> acked_;
   ZipfianDistribution zipf_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/sphinx_index.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace sphinx::core {
 
@@ -22,17 +23,13 @@ SphinxIndex::SphinxIndex(mem::Cluster& cluster, rdma::Endpoint& endpoint,
       filter_(filter),
       pec_(pec),
       lac_(lac),
-      config_(config) {}
+      config_(config),
+      round_(endpoint) {}
 
 bool SphinxIndex::search(Slice key, std::string* value_out) {
-  // With no LAC installed the point read is exactly the base machinery --
-  // same verbs, clocks and stats (the --no-lac A/B contract).
-  if (lac_ == nullptr) return RemoteTree::search(key, value_out);
-
   // The speculative leaf read dereferences a cached remote address with no
   // descent backing it; the epoch pin keeps any concurrently retired leaf
-  // out of the recycler until this op quiesces (the nested pin inside a
-  // RemoteTree fallback collapses via pin_depth).
+  // out of the recycler until this op quiesces.
   mem::EpochPin epoch(allocator_);
   BatchOp op;
   op.key = key;
@@ -45,175 +42,320 @@ void SphinxIndex::execute_batch(BatchOp* ops, size_t count) {
   sstats_.batch_ops += count;
   // One pin brackets the whole batch: quiescence is announced at batch
   // boundaries (per-op pins inside the serial pass nest and collapse), so
-  // the cross-op fused leaf reads in stage 2 can never chase a block that
-  // was recycled mid-batch.
+  // the cross-op fused leaf reads can never chase a block that was
+  // recycled mid-batch.
   mem::EpochPin epoch(allocator_);
-  // Without a LAC there is no speculative leaf read to fuse across ops
-  // (every search resolves through SFC/PEC/INHT descents), and a
-  // single-op batch has nothing to merge: both run the honest serial loop.
-  if (lac_ == nullptr || count <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      execute_one(ops[i]);
-      sstats_.batch_serial_ops++;
-    }
-    return;
-  }
   const StagedOutcome outcome = run_staged(ops, count);
   if (outcome.fused_round) sstats_.batch_fused_rounds++;
   sstats_.batch_fused_ops += outcome.fused_ops;
   sstats_.batch_serial_ops += count - outcome.fused_ops;
+  sstats_.batch_shared_rounds += outcome.shared_rounds;
+  sstats_.batch_shared_ops += outcome.shared_ops;
 }
 
 SphinxIndex::StagedOutcome SphinxIndex::run_staged(BatchOp* ops,
                                                    size_t count) {
+  using Stage = BatchSlot::Stage;
   StagedOutcome outcome;
   if (batch_slots_.size() < count) batch_slots_.resize(count);
 
   // Stage 1 (local, zero round trips): probe the LAC for every search op
-  // in batch order; cold hits additionally plan the PEC-hinted fallback
-  // inner read so a stale leaf already holds its rescue descent's start
-  // node.
-  size_t fused_count = 0;
+  // in batch order. A hit plans its speculative leaf read; a cold hit also
+  // plans the PEC-hinted fallback inner read so a stale leaf already holds
+  // its rescue descent's start node. A miss begins attempt 0, whose first
+  // read then rides the first round with the hits' leaf reads.
   for (size_t i = 0; i < count; ++i) {
     BatchSlot& s = batch_slots_[i];
+    s.stage = Stage::kIdle;
+    s.posted = false;
     s.key.reset();
-    s.fused = false;
-    s.pending = false;
-    s.fused_len = 0;
     if (ops[i].kind != BatchOp::Kind::kSearch) continue;
     s.key.emplace(ops[i].key);
     const art::TerminatedKey& tkey = *s.key;
-    s.full_hash = tkey.hash_of_prefix(tkey.size());
-    endpoint_.advance_local(config_.lac_probe_ns);
+    begin_descent(s.descent);
+    s.fused_len = 0;
     uint64_t payload = 0;
-    s.hot = false;
-    if (!lac_->lookup(s.full_hash, &payload, &s.hot)) continue;
-    sstats_.lac_hits++;
-    s.units = filter::lac_payload_units(payload);
-    s.leaf_addr =
-        rdma::GlobalAddr::from48(filter::lac_payload_addr48(payload));
-    s.fused = true;
-    fused_count++;
-    if (!s.hot && pec_ != nullptr) {
-      const uint32_t max_len = tkey.size() - 1;
-      hash_scratch_.resize(max_len + 1);
-      for (uint32_t l = 1; l <= max_len; ++l) {
-        hash_scratch_[l] = tkey.hash_of_prefix(l);
+    if (lac_ != nullptr) {
+      s.full_hash = tkey.hash_of_prefix(tkey.size());
+      endpoint_.advance_local(config_.lac_probe_ns);
+      s.hot = false;
+      if (lac_->lookup(s.full_hash, &payload, &s.hot)) {
+        sstats_.lac_hits++;
+        s.units = filter::lac_payload_units(payload);
+        s.leaf_addr =
+            rdma::GlobalAddr::from48(filter::lac_payload_addr48(payload));
+        s.stage = Stage::kLacRead;
       }
-      endpoint_.advance_local(config_.prefix_hash_ns * max_len);
-      for (uint32_t l = max_len; l >= 1; --l) {
-        if (filter_ != nullptr) {
-          endpoint_.advance_local(config_.filter_probe_ns);
-          if (!filter_->contains(hash_scratch_[l])) continue;
-        }
-        endpoint_.advance_local(config_.pec_probe_ns);
-        uint64_t p = 0;
-        bool inner_hot = false;
-        if (!pec_->lookup(hash_scratch_[l], &p, &inner_hot)) continue;
-        sstats_.pec_hits++;
-        s.fused_len = l;
-        s.fused_hash = hash_scratch_[l];
-        s.fused_payload = p;
-        break;
+    }
+    if (s.stage != Stage::kLacRead) {
+      s.stage = Stage::kWalk;
+      begin_attempt(s);
+      if (s.stage == Stage::kWalk) {
+        begin_walk(s.walk, tkey, tkey.size() - 1, &s.descent.path.back());
       }
+      continue;
+    }
+    if (s.hot || pec_ == nullptr) continue;
+    const uint32_t max_len = tkey.size() - 1;
+    std::vector<uint64_t>& hashes = s.walk.hashes;
+    hashes.resize(max_len + 1);
+    for (uint32_t l = 1; l <= max_len; ++l) hashes[l] = tkey.hash_of_prefix(l);
+    endpoint_.advance_local(config_.prefix_hash_ns * max_len);
+    for (uint32_t l = max_len; l >= 1; --l) {
+      if (filter_ != nullptr) {
+        endpoint_.advance_local(config_.filter_probe_ns);
+        if (!filter_->contains(hashes[l])) continue;
+      }
+      endpoint_.advance_local(config_.pec_probe_ns);
+      uint64_t p = 0;
+      bool inner_hot = false;
+      if (!pec_->lookup(hashes[l], &p, &inner_hot)) continue;
+      sstats_.pec_hits++;
+      s.fused_len = l;
+      s.fused_hash = hashes[l];
+      s.fused_payload = p;
+      break;
     }
   }
 
-  // Stage 2: ONE doorbell round trip carrying every hit's speculative leaf
-  // read plus the cold hits' fused inner reads -- the cross-op fusion that
-  // turns K warm hits into 1 RTT. The whole round is LAC-attributed
-  // (phases charge per round trip, not per verb or per op; rdma/phase.h),
-  // so per-phase sums stay exactly equal to totals.
-  if (fused_count > 0) {
-    rdma::DoorbellBatch batch(endpoint_);
+  // Rounds: every op still walking posts its next dependent read into one
+  // doorbell. The first round also carries every LAC hit's leaf read plus
+  // the cold hits' fused inner reads, and is charged to kLacFusedRead;
+  // any other round is charged whole to the phase of its first poster in
+  // batch order (phases charge per round trip, never per verb or per op;
+  // rdma/phase.h), so per-phase sums stay exactly equal to totals.
+  for (;;) {
+    round_.clear();
+    bool lac_round = false;
+    rdma::Phase phase = rdma::Phase::kUnattributed;
     for (size_t i = 0; i < count; ++i) {
       BatchSlot& s = batch_slots_[i];
-      if (!s.fused) continue;
-      s.leaf.resize(s.units);
-      batch.add_read(s.leaf_addr, s.leaf.buf().data(),
-                     s.units * art::kLeafUnitBytes);
-      if (s.fused_len > 0) {
-        const art::NodeType ftype = inht_payload_type(s.fused_payload);
-        batch.add_read(inht_payload_addr(s.fused_payload),
-                       s.inner.image.raw(), art::inner_node_bytes(ftype));
-      }
-    }
-    outcome.fused_round = true;
-    rdma::PhaseScope lac_scope(endpoint_, rdma::Phase::kLacFusedRead);
-    batch.execute();
-  }
-
-  // Stage 3: validate each speculative leaf exactly as a descent-found
-  // leaf -- unit count, CRC, liveness, then the byte-exact key compare that
-  // makes wrong answers structurally impossible even for ABA-recycled
-  // blocks -- and purge stale bindings before any fallback descends.
-  for (size_t i = 0; i < count; ++i) {
-    BatchSlot& s = batch_slots_[i];
-    if (!s.fused) continue;
-    BatchOp& op = ops[i];
-    const art::TerminatedKey& tkey = *s.key;
-    const bool image_ok =
-        s.leaf.units() == s.units &&
-        s.leaf.revalidate() != art::LeafImage::Revalidate::kBad &&
-        s.leaf.status() != art::NodeStatus::kInvalid;
-    if (image_ok && s.leaf.key() == tkey.full()) {
-      // Final audit on the exact image being returned. The gate above
-      // already established both properties, so a failure here means the
-      // fast path itself is broken; the regression gate fails on a nonzero
-      // count.
-      if (!s.leaf.checksum_ok() || s.leaf.key() != tkey.full()) {
-        sstats_.lac_wrong_value++;
-      } else {
-        if (op.value_out != nullptr) {
-          op.value_out->assign(s.leaf.value().data(), s.leaf.value().size());
+      s.posted = false;
+      if (s.stage == Stage::kLacRead) {
+        Descent& d = s.descent;
+        d.leaf.resize(s.units);
+        round_.add_read(s.leaf_addr, d.leaf.buf().data(),
+                        d.leaf.buf().size());
+        if (s.fused_len > 0) {
+          const art::NodeType ftype = inht_payload_type(s.fused_payload);
+          round_.add_read(inht_payload_addr(s.fused_payload),
+                          d.path.back().image.raw(),
+                          art::inner_node_bytes(ftype));
         }
-        if (!s.hot) sstats_.lac_fused_wins++;
-        op.ok = true;
-        op.done = true;
-        op.done_clock_ns = endpoint_.clock_ns();
-        outcome.fused_ops++;
+        s.posted = lac_round = true;
         continue;
       }
+      const bool first = round_.empty();
+      rdma::Phase p = rdma::Phase::kUnattributed;
+      if (!post_search_step(s, ops[i], &p, &outcome)) continue;
+      s.posted = true;
+      if (first) phase = p;
     }
-    // Stale binding: the key moved (delete, delete+reinsert, out-of-place
-    // update) or the entry was torn. Purge it -- keyed on the address so a
-    // concurrent refresh survives; the fallback search repopulates the
-    // cache on success (staleness self-heals).
-    sstats_.lac_stale++;
-    lac_->invalidate_if(s.full_hash, s.leaf_addr.to48());
-    if (s.fused_len > 0) {
-      const art::NodeType ftype = inht_payload_type(s.fused_payload);
-      const rdma::GlobalAddr faddr = inht_payload_addr(s.fused_payload);
-      if (validate_start(s.fused_len, s.fused_hash, ftype, faddr, &s.inner)) {
-        s.pending = true;
-        sstats_.lac_fused_losses++;
-      } else {
-        sstats_.pec_stale++;
-        pec_->invalidate_if(s.fused_hash, faddr.to48());
+    if (round_.empty()) break;
+    if (lac_round) {
+      outcome.fused_round = true;
+      phase = rdma::Phase::kLacFusedRead;
+    } else {
+      outcome.shared_rounds++;
+    }
+    {
+      rdma::PhaseScope round_scope(endpoint_, phase);
+      round_.execute();
+    }
+    for (size_t i = 0; i < count; ++i) {
+      if (batch_slots_[i].posted) {
+        resolve_search_step(batch_slots_[i], ops[i], &outcome);
       }
     }
   }
 
-  // Stage 4 (serial pass, batch order): everything the shared round did
-  // not finish -- mutations, LAC misses, stale bindings. Searches go
-  // straight to the base machinery (the LAC was already probed in stage 1;
-  // re-entering SphinxIndex::search would double-charge the probe), and a
-  // stale op whose fused inner read validated hands it to find_start so
-  // its rescue descent spends zero extra round trips.
+  // Serial pass, in batch order: searches whose attempt 0 ended elsewhere
+  // than a verdict continue the retry loop from attempt 1, and mutations
+  // run here.
   for (size_t i = 0; i < count; ++i) {
     BatchOp& op = ops[i];
     if (op.done) continue;
     BatchSlot& s = batch_slots_[i];
-    if (op.kind == BatchOp::Kind::kSearch) {
-      if (s.pending) pending_start_ = &s.inner;
-      op.ok = RemoteTree::search(op.key, op.value_out);
-      op.done = true;
-      op.done_clock_ns = endpoint_.clock_ns();
-    } else {
+    if (op.kind != BatchOp::Kind::kSearch) {
       execute_one(op);
+      continue;
     }
+    assert(s.stage == Stage::kSerial);
+    op.ok = search_attempts(*s.key, op.value_out, *s.policy, s.next_attempt,
+                            s.allow_custom);
+    op.done = true;
+    op.done_clock_ns = endpoint_.clock_ns();
   }
   return outcome;
+}
+
+void SphinxIndex::begin_attempt(BatchSlot& s) {
+  s.policy.emplace(endpoint_, RemoteTree::config_.retry, &stats_.backoff);
+  s.allow_custom = true;
+  s.next_attempt = 1;
+  // Attempt 0's backoff is free; a zero attempt budget times the op out
+  // in the serial pass, as search_attempts() would.
+  if (!s.policy->backoff(0)) {
+    s.next_attempt = 0;
+    s.stage = BatchSlot::Stage::kSerial;
+  }
+}
+
+bool SphinxIndex::post_search_step(BatchSlot& s, BatchOp& op,
+                                   rdma::Phase* phase,
+                                   StagedOutcome* outcome) {
+  using Stage = BatchSlot::Stage;
+  Descent& d = s.descent;
+  for (;;) {
+    switch (s.stage) {
+      case Stage::kWalk:
+        if (post_walk(s.walk, &round_, phase)) return true;
+        if (s.walk.step == StartWalk::Step::kFound) {
+          sstats_.start_successes++;
+          d.from_custom_start = true;
+          s.stage = Stage::kStep;
+          continue;
+        }
+        sstats_.root_fallbacks++;
+        round_.add_read(enter_at_root(d, /*allow_replica_root=*/true),
+                        d.path.back().image.raw(),
+                        art::inner_node_bytes(art::NodeType::kN256));
+        *phase = rdma::Phase::kInnerRead;
+        s.stage = Stage::kRoot;
+        return true;
+      case Stage::kStep:
+        switch (descend_step(*s.key, d)) {
+          case DescendStep::kDone:
+            finish_attempt(s, op, outcome);
+            return false;
+          case DescendStep::kFetchInner:
+            round_.add_read(d.path.back().addr, d.path.back().image.raw(),
+                            art::inner_node_bytes(child_type(d)));
+            *phase = rdma::Phase::kInnerRead;
+            s.stage = Stage::kChild;
+            return true;
+          case DescendStep::kReadLeaf:
+            s.leaf_reads = 0;
+            s.stage = Stage::kLeaf;
+            continue;
+        }
+        return false;
+      case Stage::kLeaf:
+        round_.add_read(d.leaf_addr, d.leaf.buf().data(), d.leaf.buf().size());
+        *phase = rdma::Phase::kLeafRead;
+        return true;
+      default:
+        return false;
+    }
+  }
+}
+
+void SphinxIndex::resolve_search_step(BatchSlot& s, BatchOp& op,
+                                      StagedOutcome* outcome) {
+  using Stage = BatchSlot::Stage;
+  switch (s.stage) {
+    case Stage::kLacRead:
+      resolve_lac(s, op, outcome);
+      return;
+    case Stage::kWalk:
+      resolve_walk(s.walk);
+      return;
+    case Stage::kRoot:
+      s.stage = Stage::kStep;
+      return;
+    case Stage::kChild:
+      if (child_landed(s.descent)) {
+        s.stage = Stage::kStep;
+      } else {
+        finish_attempt(s, op, outcome);
+      }
+      return;
+    case Stage::kLeaf:
+      if (leaf_landed(*s.key, s.descent, ++s.leaf_reads)) {
+        finish_attempt(s, op, outcome);
+      }
+      return;
+    default:
+      return;
+  }
+}
+
+void SphinxIndex::resolve_lac(BatchSlot& s, BatchOp& op,
+                              StagedOutcome* outcome) {
+  // Validate the speculative leaf exactly as a descent-found leaf -- unit
+  // count, CRC, liveness, then the byte-exact key compare that makes wrong
+  // answers structurally impossible even for ABA-recycled blocks.
+  const art::TerminatedKey& tkey = *s.key;
+  Descent& d = s.descent;
+  art::LeafImage& leaf = d.leaf;
+  const bool image_ok = leaf.units() == s.units &&
+                        leaf.revalidate() != art::LeafImage::Revalidate::kBad &&
+                        leaf.status() != art::NodeStatus::kInvalid;
+  if (image_ok && leaf.key() == tkey.full()) {
+    // Final audit on the exact image being returned. The gate above
+    // already established both properties, so a failure here means the
+    // fast path itself is broken; the regression gate fails on a nonzero
+    // count.
+    if (!leaf.checksum_ok() || leaf.key() != tkey.full()) {
+      sstats_.lac_wrong_value++;
+    } else {
+      if (op.value_out != nullptr) {
+        op.value_out->assign(leaf.value().data(), leaf.value().size());
+      }
+      if (!s.hot) sstats_.lac_fused_wins++;
+      op.ok = true;
+      op.done = true;
+      op.done_clock_ns = endpoint_.clock_ns();
+      s.stage = BatchSlot::Stage::kDone;
+      outcome->fused_ops++;
+      return;
+    }
+  }
+  // Stale binding: the key moved (delete, delete+reinsert, out-of-place
+  // update) or the entry was torn. Purge it -- keyed on the address so a
+  // concurrent refresh survives; the search that follows repopulates the
+  // cache on success (staleness self-heals).
+  sstats_.lac_stale++;
+  lac_->invalidate_if(s.full_hash, s.leaf_addr.to48());
+  begin_attempt(s);
+  if (s.stage == BatchSlot::Stage::kSerial) return;
+  if (s.fused_len > 0) {
+    const art::NodeType ftype = inht_payload_type(s.fused_payload);
+    const rdma::GlobalAddr faddr = inht_payload_addr(s.fused_payload);
+    if (validate_start(s.fused_len, s.fused_hash, ftype, faddr,
+                       &d.path.back())) {
+      // The fused inner read already validated a start node for this key:
+      // the descent goes on from it for 0 extra round trips.
+      sstats_.lac_fused_losses++;
+      sstats_.start_successes++;
+      d.from_custom_start = true;
+      s.stage = BatchSlot::Stage::kStep;
+      return;
+    }
+    sstats_.pec_stale++;
+    pec_->invalidate_if(s.fused_hash, faddr.to48());
+  }
+  begin_walk(s.walk, tkey, tkey.size() - 1, &d.path.back());
+  s.stage = BatchSlot::Stage::kWalk;
+}
+
+void SphinxIndex::finish_attempt(BatchSlot& s, BatchOp& op,
+                                 StagedOutcome* outcome) {
+  switch (search_verdict(s.descent, op.value_out, 0, &s.allow_custom)) {
+    case SearchVerdict::kFound:
+      op.ok = true;
+      break;
+    case SearchVerdict::kAbsent:
+      op.ok = false;
+      break;
+    case SearchVerdict::kRetry:
+      s.stage = BatchSlot::Stage::kSerial;
+      return;
+  }
+  op.done = true;
+  op.done_clock_ns = endpoint_.clock_ns();
+  s.stage = BatchSlot::Stage::kDone;
+  outcome->shared_ops++;
 }
 
 bool SphinxIndex::validate_start(uint32_t len, uint64_t hash,
@@ -235,163 +377,238 @@ bool SphinxIndex::validate_start(uint32_t len, uint64_t hash,
   return true;
 }
 
-bool SphinxIndex::adopt_candidate(uint32_t len, uint64_t hash,
-                                  const std::vector<uint64_t>& payloads,
-                                  PathEntry* out) {
-  for (uint64_t payload : payloads) {
-    const art::NodeType type = inht_payload_type(payload);
-    const rdma::GlobalAddr addr = inht_payload_addr(payload);
-    // One round trip: fetch the candidate node and verify it.
-    bool fetched;
-    {
-      rdma::PhaseScope adopt_scope(endpoint_, rdma::Phase::kInnerRead);
-      fetched = RemoteTree::fetch_inner(addr, type, &out->image);
-    }
-    if (!fetched) continue;
-    if (!validate_start(len, hash, type, addr, out)) continue;
-    // Cache the verified entry so the next search for this prefix skips
-    // the INHT read (the 2-RTT path).
-    if (pec_ != nullptr) pec_->insert(hash, pack_inht_payload(type, addr));
-    return true;
+void SphinxIndex::begin_walk(StartWalk& w, const art::TerminatedKey& key,
+                             uint32_t max_len, PathEntry* out) {
+  using Step = StartWalk::Step;
+  w.out = out;
+  w.max_len = max_len;
+  w.len = max_len;
+  w.parallel = false;
+  if (max_len < 1) {  // only the root can be an ancestor
+    w.step = Step::kFailed;
+    return;
   }
-  return false;
+  // Hash every candidate prefix locally (lengths 1 .. max_len).
+  w.hashes.resize(max_len + 1);
+  for (uint32_t l = 1; l <= max_len; ++l) w.hashes[l] = key.hash_of_prefix(l);
+  endpoint_.advance_local(config_.prefix_hash_ns * max_len);
+  w.step = filter_ != nullptr || pec_ != nullptr ? Step::kScan
+                                                 : Step::kParallel;
 }
 
-bool SphinxIndex::try_start_at(uint32_t len, uint64_t hash, bool inht_on_miss,
-                               PathEntry* out) {
-  bool probe_inht = inht_on_miss;
-  if (pec_ != nullptr) {
-    endpoint_.advance_local(config_.pec_probe_ns);
-    uint64_t payload = 0;
-    bool hot = false;
-    if (pec_->lookup(hash, &payload, &hot)) {
-      sstats_.pec_hits++;
-      const art::NodeType type = inht_payload_type(payload);
-      const rdma::GlobalAddr addr = inht_payload_addr(payload);
-      if (hot) {
-        // High confidence: one speculative node read (the 2-RTT search).
-        bool fetched;
-        {
-          rdma::PhaseScope pec_scope(endpoint_, rdma::Phase::kPecValidate);
-          fetched = RemoteTree::fetch_inner(addr, type, &out->image);
+bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
+                            rdma::Phase* phase) {
+  using Step = StartWalk::Step;
+  for (;;) {
+    switch (w.step) {
+      case Step::kScan: {
+        // Longest prefix present in the succinct filter cache -> PEC
+        // probe, then at most one hash-entry read (Sec. III-B).
+        if (w.len < 1) {
+          w.step = Step::kParallel;
+          continue;
         }
-        if (fetched && validate_start(len, hash, type, addr, out)) {
-          return true;
+        const uint64_t hash = w.hashes[w.len];
+        if (filter_ != nullptr) {
+          endpoint_.advance_local(config_.filter_probe_ns);
+          if (!filter_->contains(hash)) {
+            w.len--;
+            continue;
+          }
+          sstats_.filter_hits++;
         }
-        sstats_.pec_stale++;
-        pec_->invalidate_if(hash, addr.to48());
-        probe_inht = true;  // the prefix existed recently; re-resolve it
-      } else {
-        // Low confidence (cold entry): hedge by fusing the speculative node
-        // read with the INHT group read in one doorbell batch. A fresh
-        // entry wins outright; a stale one already has the group in hand,
-        // so recovery costs zero extra round trips.
-        const race::RaceClient::Probe probe = inht_.plan_probe(hash);
-        rdma::DoorbellBatch batch(endpoint_);
-        batch.add_read(addr, out->image.raw(), art::inner_node_bytes(type));
-        batch.add_read(probe.group_addr, fused_group_.data(),
-                       race::kGroupBytes);
-        {
-          // The fused speculative read is PEC-driven even though it piggy-
-          // backs an INHT group read; the whole doorbell is one round trip
-          // and phases attribute per round trip, not per verb.
-          rdma::PhaseScope pec_scope(endpoint_, rdma::Phase::kPecValidate);
-          batch.execute();
+        if (pec_ != nullptr) {
+          endpoint_.advance_local(config_.pec_probe_ns);
+          bool hot = false;
+          if (pec_->lookup(hash, &w.pec_payload, &hot)) {
+            sstats_.pec_hits++;
+            const art::NodeType type = inht_payload_type(w.pec_payload);
+            const rdma::GlobalAddr addr = inht_payload_addr(w.pec_payload);
+            // A high-confidence (hot) entry: one speculative node read
+            // (the 2-RTT search). A cold one hedges by fusing the node
+            // read with the INHT group read: a fresh entry wins outright;
+            // a stale one already has the group in hand, so recovery
+            // costs zero extra round trips. Either read is PEC-driven; the
+            // doorbell is one round trip and phases attribute per round
+            // trip, not per verb.
+            if (!hot) {
+              const race::RaceClient::Probe probe = inht_.plan_probe(hash);
+              batch->add_read(addr, w.out->image.raw(),
+                              art::inner_node_bytes(type));
+              batch->add_read(probe.group_addr, w.fused_group.data(),
+                              race::kGroupBytes);
+              w.step = Step::kFusedRead;
+            } else {
+              batch->add_read(addr, w.out->image.raw(),
+                              art::inner_node_bytes(type));
+              w.step = Step::kPecRead;
+            }
+            *phase = rdma::Phase::kPecValidate;
+            return true;
+          }
+          if (filter_ == nullptr) {
+            // PEC-only ablation (no filter): the entry cache doubles as
+            // the existence hint. Misses cost nothing remotely; the
+            // parallel INHT read stays the backstop.
+            w.len--;
+            continue;
+          }
         }
-        if (validate_start(len, hash, type, addr, out)) {
-          sstats_.speculative_wins++;
-          return true;
-        }
-        sstats_.speculative_losses++;
-        sstats_.pec_stale++;
-        pec_->invalidate_if(hash, addr.to48());
-        payload_scratch_.clear();
-        race::RaceClient::match_group(hash, fused_group_.data(),
-                                      payload_scratch_);
-        return adopt_candidate(len, hash, payload_scratch_, out);
+        w.inht_attempt = 0;
+        w.step = Step::kInhtSearch;
+        continue;
       }
+      case Step::kInhtSearch: {
+        // Single-prefix INHT lookup: one round trip (Sec. III-B).
+        const uint64_t hash = w.hashes[w.len];
+        inht_.client_for(hash).post_search(hash, w.inht_attempt, batch,
+                                           &w.inht_read);
+        *phase = rdma::Phase::kInhtRead;
+        w.step = Step::kInhtRead;
+        return true;
+      }
+      case Step::kCandidate: {
+        if (w.candidate == w.payloads.size()) {
+          walk_missed(w);
+          continue;
+        }
+        // One round trip: fetch the candidate node, verified on landing.
+        const uint64_t payload = w.payloads[w.candidate];
+        batch->add_read(inht_payload_addr(payload), w.out->image.raw(),
+                        art::inner_node_bytes(inht_payload_type(payload)));
+        *phase = rdma::Phase::kInnerRead;
+        w.step = Step::kCandidateRead;
+        return true;
+      }
+      case Step::kParallel:
+        // Parallel INHT read: the hash entries of all prefixes in one
+        // doorbell-batched round trip (Sec. III-A).
+        sstats_.parallel_fallbacks++;
+        w.groups.resize(w.max_len + 1);
+        for (uint32_t l = 1; l <= w.max_len; ++l) {
+          const race::RaceClient::Probe probe = inht_.plan_probe(w.hashes[l]);
+          batch->add_read(probe.group_addr, w.groups[l].data(),
+                          race::kGroupBytes);
+        }
+        *phase = rdma::Phase::kInhtRead;
+        w.parallel = true;
+        w.step = Step::kParallelRead;
+        return true;
+      case Step::kParallelNext:
+        if (w.len < 1) {
+          w.step = Step::kFailed;
+          return false;
+        }
+        w.payloads.clear();
+        race::RaceClient::match_group(w.hashes[w.len], w.groups[w.len].data(),
+                                      w.payloads);
+        if (w.payloads.empty()) {
+          w.len--;
+          continue;
+        }
+        w.candidate = 0;
+        w.step = Step::kCandidate;
+        continue;
+      default:
+        return false;
     }
   }
-  if (!probe_inht) return false;
-  // Single-prefix INHT lookup: one round trip (Sec. III-B).
-  payload_scratch_.clear();
-  inht_.search(hash, payload_scratch_);
-  return adopt_candidate(len, hash, payload_scratch_, out);
+}
+
+void SphinxIndex::resolve_walk(StartWalk& w) {
+  using Step = StartWalk::Step;
+  const uint64_t hash = w.hashes[w.len];
+  switch (w.step) {
+    case Step::kPecRead:
+    case Step::kFusedRead: {
+      const art::NodeType type = inht_payload_type(w.pec_payload);
+      const rdma::GlobalAddr addr = inht_payload_addr(w.pec_payload);
+      const bool fused = w.step == Step::kFusedRead;
+      if (validate_start(w.len, hash, type, addr, w.out)) {
+        if (fused) sstats_.speculative_wins++;
+        w.step = Step::kFound;
+        return;
+      }
+      if (fused) sstats_.speculative_losses++;
+      sstats_.pec_stale++;
+      pec_->invalidate_if(hash, addr.to48());
+      if (!fused) {
+        // The prefix existed recently; re-resolve it through the INHT.
+        w.inht_attempt = 0;
+        w.step = Step::kInhtSearch;
+        return;
+      }
+      w.payloads.clear();
+      race::RaceClient::match_group(hash, w.fused_group.data(), w.payloads);
+      w.candidate = 0;
+      w.step = Step::kCandidate;
+      return;
+    }
+    case Step::kInhtRead:
+      w.payloads.clear();
+      if (!inht_.client_for(hash).finish_search(hash, w.inht_read,
+                                                w.payloads) &&
+          ++w.inht_attempt < race::RaceClient::kSearchAttempts) {
+        w.step = Step::kInhtSearch;  // the directory was stale: read again
+        return;
+      }
+      w.candidate = 0;
+      w.step = Step::kCandidate;
+      return;
+    case Step::kCandidateRead: {
+      const uint64_t payload = w.payloads[w.candidate];
+      const art::NodeType type = inht_payload_type(payload);
+      const rdma::GlobalAddr addr = inht_payload_addr(payload);
+      if (!validate_start(w.len, hash, type, addr, w.out)) {
+        w.candidate++;
+        w.step = Step::kCandidate;
+        return;
+      }
+      // Cache the verified entry so the next search for this prefix skips
+      // the INHT read (the 2-RTT path).
+      if (pec_ != nullptr) pec_->insert(hash, pack_inht_payload(type, addr));
+      if (w.parallel && filter_ != nullptr) filter_->insert(hash);
+      w.step = Step::kFound;
+      return;
+    }
+    case Step::kParallelRead:
+      w.len = w.max_len;
+      w.step = Step::kParallelNext;
+      return;
+    default:
+      return;
+  }
+}
+
+void SphinxIndex::walk_missed(StartWalk& w) {
+  w.len--;
+  if (w.parallel) {
+    w.step = StartWalk::Step::kParallelNext;
+    return;
+  }
+  // False positive (or stale entry): retry with a shorter prefix, as in
+  // the paper's false-positive recovery.
+  if (filter_ != nullptr) sstats_.fp_rejects++;
+  w.step = StartWalk::Step::kScan;
 }
 
 bool SphinxIndex::start_search(const art::TerminatedKey& key,
                                uint32_t max_len, PathEntry* out) {
-  if (max_len < 1) return false;  // only the root can be an ancestor
-
-  // Hash every candidate prefix locally (lengths 1 .. max_len).
-  hash_scratch_.resize(max_len + 1);
-  for (uint32_t l = 1; l <= max_len; ++l) {
-    hash_scratch_[l] = key.hash_of_prefix(l);
-  }
-  endpoint_.advance_local(config_.prefix_hash_ns * max_len);
-
-  if (filter_ != nullptr) {
-    // Longest prefix present in the succinct filter cache -> PEC probe,
-    // then at most one hash-entry read (Sec. III-B).
-    for (uint32_t l = max_len; l >= 1; --l) {
-      endpoint_.advance_local(config_.filter_probe_ns);
-      if (!filter_->contains(hash_scratch_[l])) continue;
-      sstats_.filter_hits++;
-      if (try_start_at(l, hash_scratch_[l], /*inht_on_miss=*/true, out)) {
-        return true;
-      }
-      // False positive (or stale entry): retry with a shorter prefix, as
-      // in the paper's false-positive recovery.
-      sstats_.fp_rejects++;
+  begin_walk(walk_, key, max_len, out);
+  rdma::Phase phase = rdma::Phase::kUnattributed;
+  for (;;) {
+    round_.clear();
+    if (!post_walk(walk_, &round_, &phase)) break;
+    {
+      rdma::PhaseScope step_scope(endpoint_, phase);
+      round_.execute();
     }
-  } else if (pec_ != nullptr) {
-    // PEC-only ablation (no filter): the entry cache doubles as the
-    // existence hint. Misses cost nothing remotely; the parallel INHT
-    // read below stays the backstop.
-    for (uint32_t l = max_len; l >= 1; --l) {
-      if (try_start_at(l, hash_scratch_[l], /*inht_on_miss=*/false, out)) {
-        return true;
-      }
-    }
+    resolve_walk(walk_);
   }
-
-  // Parallel INHT read: the hash entries of all prefixes in one
-  // doorbell-batched round trip (Sec. III-A).
-  sstats_.parallel_fallbacks++;
-  group_scratch_.resize(max_len + 1);
-  {
-    rdma::PhaseScope inht_scope(endpoint_, rdma::Phase::kInhtRead);
-    rdma::DoorbellBatch batch(endpoint_);
-    for (uint32_t l = 1; l <= max_len; ++l) {
-      const race::RaceClient::Probe probe = inht_.plan_probe(hash_scratch_[l]);
-      batch.add_read(probe.group_addr, group_scratch_[l].data(),
-                     race::kGroupBytes);
-    }
-    batch.execute();
-  }
-  for (uint32_t l = max_len; l >= 1; --l) {
-    payload_scratch_.clear();
-    race::RaceClient::match_group(hash_scratch_[l], group_scratch_[l].data(),
-                                  payload_scratch_);
-    if (payload_scratch_.empty()) continue;
-    if (adopt_candidate(l, hash_scratch_[l], payload_scratch_, out)) {
-      if (filter_ != nullptr) filter_->insert(hash_scratch_[l]);
-      return true;
-    }
-  }
-  return false;
+  return walk_.step == StartWalk::Step::kFound;
 }
 
 bool SphinxIndex::find_start(const art::TerminatedKey& key, PathEntry* out) {
-  if (pending_start_ != nullptr) {
-    // A stale LAC hit's fused inner read already validated a start node for
-    // exactly this key (run_staged() sets it immediately before the
-    // fallback descent, which consumes it here on its first attempt).
-    *out = *pending_start_;
-    pending_start_ = nullptr;
-    sstats_.start_successes++;
-    return true;
-  }
   if (!start_search(key, key.size() - 1, out)) {
     sstats_.root_fallbacks++;
     return false;

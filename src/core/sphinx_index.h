@@ -37,7 +37,7 @@ namespace sphinx::core {
 
 // Each CN cache tier (filter, PEC, LAC) is off exactly when the
 // SphinxIndex constructor receives a null pointer for it; cold PEC and LAC
-// hits always hedge with doorbell fusion (run_staged(), try_start_at()).
+// hits always hedge with doorbell fusion (run_staged(), post_walk()).
 struct SphinxConfig {
   // CPU cost model for the CN-local work unique to Sphinx.
   uint64_t filter_probe_ns = 15;
@@ -76,9 +76,11 @@ struct SphinxStats {
   uint64_t lac_fused_losses = 0; // stale leaf; fused inner seeded fallback
   uint64_t lac_wrong_value = 0;  // 1-RTT return failed final audit (== 0!)
   uint64_t batch_ops = 0;           // point ops entering execute_batch
-  uint64_t batch_fused_ops = 0;     // ops completed by a shared fused round
-  uint64_t batch_fused_rounds = 0;  // cross-op doorbell round trips issued
-  uint64_t batch_serial_ops = 0;    // batch ops resolved by serial fallback
+  uint64_t batch_fused_ops = 0;     // ops completed by the LAC round
+  uint64_t batch_fused_rounds = 0;  // LAC rounds (LAC-hit leaf reads) issued
+  uint64_t batch_serial_ops = 0;    // batch ops the LAC round did not finish
+  uint64_t batch_shared_rounds = 0; // the other rounds of staged searches
+  uint64_t batch_shared_ops = 0;    // searches those rounds decided
 
   SphinxStats& operator+=(const SphinxStats& o);
 };
@@ -108,6 +110,8 @@ inline constexpr metrics::Field<SphinxStats> kSphinxStatsFields[] = {
     {"batch_fused_ops", &SphinxStats::batch_fused_ops},
     {"batch_fused_rounds", &SphinxStats::batch_fused_rounds},
     {"batch_serial_ops", &SphinxStats::batch_serial_ops},
+    {"batch_shared_rounds", &SphinxStats::batch_shared_rounds},
+    {"batch_shared_ops", &SphinxStats::batch_shared_ops},
 };
 
 inline SphinxStats& SphinxStats::operator+=(const SphinxStats& o) {
@@ -134,15 +138,16 @@ class SphinxIndex final : public art::RemoteTree {
   // Point read: the one-op case of the staged engine (run_staged). On a
   // LAC hit the leaf is read speculatively (one round trip, doorbell-fused
   // with a PEC-hinted fallback inner read when the entry is cold) and
-  // validated in hand; misses and stale entries fall back to the normal
-  // SFC/PEC/INHT search. With no LAC installed this is bit-identical to
-  // RemoteTree::search.
+  // validated in hand; misses and stale entries go on through the normal
+  // SFC/PEC/INHT search. Every round has one read, so this costs exactly
+  // what the serial walk does.
   bool search(Slice key, std::string* value_out) override;
 
   // Pipelined multi-op execution with cross-op doorbell fusion: the same
-  // staged engine as search(), over every op of the batch, so K warm hits
-  // cost 1 RTT instead of K. With no LAC installed (or a single-op batch)
-  // this is the plain serial loop.
+  // staged engine as search(), over every op of the batch. Each round
+  // carries the next dependent read of every search still walking, so K
+  // searches cost the round trips of the longest, not their sum; mutations
+  // run serially after the rounds.
   void execute_batch(BatchOp* ops, size_t count) override;
 
   const SphinxStats& sphinx_stats() const { return sstats_; }
@@ -258,30 +263,135 @@ class SphinxIndex final : public art::RemoteTree {
   }
 
  private:
+  // One start search (Sec. IV): the SFC -> PEC/INHT walk over the key's
+  // prefix lengths, longest first, then the parallel multi-prefix INHT
+  // read. It is split into post and resolve steps: post_walk() runs the
+  // walk's local work until it needs a read and posts that read into a
+  // doorbell batch; resolve_walk() consumes the read once the batch has
+  // executed. start_search() is the one-op driver; run_staged() drives
+  // one walk per in-flight search through shared rounds.
+  struct StartWalk {
+    enum class Step : uint8_t {
+      kScan,           // probe SFC, then PEC, at `len` (local)
+      kInhtSearch,     // post the INHT header + group read for `len`
+      kCandidate,      // post the node read of payloads[candidate]
+      kParallel,       // post every prefix's INHT group read
+      kParallelNext,   // match the parallel read's group at `len` (local)
+      kPecRead,        // in flight: hot PEC entry's node
+      kFusedRead,      // in flight: cold PEC entry's node + INHT group
+      kInhtRead,       // in flight: INHT header + group
+      kCandidateRead,  // in flight: candidate node
+      kParallelRead,   // in flight: every prefix's INHT group
+      kFound,          // *out holds a verified start node
+      kFailed,         // no verified start below the root
+    };
+    Step step = Step::kFailed;
+    uint32_t max_len = 0;
+    uint32_t len = 0;
+    bool parallel = false;  // candidates come from the parallel read
+    uint32_t inht_attempt = 0;
+    uint64_t pec_payload = 0;
+    size_t candidate = 0;
+    std::vector<uint64_t> hashes;    // [l]: hash of the key's first l bytes
+    std::vector<uint64_t> payloads;  // INHT candidates for `len`
+    std::vector<std::array<uint64_t, race::kSlotsPerGroup>> groups;
+    std::array<uint64_t, race::kSlotsPerGroup> fused_group;
+    race::RaceClient::SearchRead inht_read;
+    PathEntry* out = nullptr;  // where fetched start nodes land
+  };
+  void begin_walk(StartWalk& w, const art::TerminatedKey& key,
+                  uint32_t max_len, PathEntry* out);
+  // Returns false once the walk has ended (kFound or kFailed); otherwise
+  // it posted one read into `batch` and set *phase to its phase.
+  bool post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
+                 rdma::Phase* phase);
+  void resolve_walk(StartWalk& w);
+  // The walk found nothing at `len`: go on with the next shorter prefix.
+  void walk_missed(StartWalk& w);
+
   // Shared body of find_start/find_scan_start: longest verified prefix of
-  // `key` no longer than `max_len`, tried filter-first. Bumps the shared
-  // path counters (filter/PEC/parallel) but not the outcome counters --
-  // those belong to the wrappers.
+  // `key` no longer than `max_len`. Bumps the shared path counters
+  // (filter/PEC/parallel) but not the outcome counters -- those belong to
+  // the wrappers.
   bool start_search(const art::TerminatedKey& key, uint32_t max_len,
                     PathEntry* out);
 
-  // The staged LAC engine behind search() and execute_batch():
-  //   1. probe the LAC for every search op locally (zero round trips); a
-  //      cold hit also plans the PEC-hinted inner read of its fallback;
-  //   2. issue every hit's speculative leaf read, plus the planned inner
-  //      reads, in ONE doorbell round trip;
-  //   3. validate each leaf in hand (unit count, CRC, liveness, byte-exact
-  //      key compare, lac_wrong_value audit) and purge stale bindings;
-  //   4. run everything unfinished serially in op order: misses, stale
-  //      bindings (a validated fused inner read seeds the descent for 0
-  //      extra RTTs) and mutations.
-  // Reports what the shared round did; execute_batch turns that into the
-  // batch_* counters, which count only ops entering execute_batch.
+  // The staged engine behind search() and execute_batch(). Each search op
+  // runs attempt 0 of RemoteTree::search's retry loop as a chain of
+  // dependent reads, and every round posts each in-flight op's next read
+  // into ONE doorbell batch, so a batch costs its longest search's round
+  // trips instead of their sum:
+  //   1. probe the LAC for every search op locally; a cold hit also plans
+  //      the PEC-hinted inner read of its fallback, a miss begins its
+  //      start walk;
+  //   2. the first round carries every hit's speculative leaf read, the
+  //      planned inner reads and each miss's first read;
+  //   3. each leaf is validated in hand (unit count, CRC, liveness,
+  //      byte-exact key compare, lac_wrong_value audit); a stale binding
+  //      is purged and its op goes on as a staged descent -- from the
+  //      fused inner node when that validated, else from a start walk;
+  //   4. later rounds carry the next read of every op still walking: a
+  //      PEC-hinted node, an INHT group, an INHT candidate node, the root,
+  //      a child node or a leaf;
+  //   5. an attempt 0 that ends elsewhere than a found leaf or an absent
+  //      verdict continues in search_attempts() from attempt 1, after
+  //      the rounds and in batch order, with the RetryPolicy it was given
+  //      before attempt 0; mutations run serially there too.
+  // A round is charged to kLacFusedRead when it carries LAC-hit leaf
+  // reads, else whole to the phase of the first op in batch order that
+  // posted into it. Reports what the rounds did; execute_batch turns that
+  // into the batch_* counters, which count only ops entering execute_batch.
   struct StagedOutcome {
-    bool fused_round = false;  // the stage-2 doorbell round trip was issued
-    size_t fused_ops = 0;      // ops it completed (the rest ran serially)
+    bool fused_round = false;  // the round carrying LAC-hit reads was issued
+    size_t fused_ops = 0;      // ops that round completed by their LAC hit
+    size_t shared_rounds = 0;  // every other round
+    size_t shared_ops = 0;     // searches the staged attempt 0 decided
   };
   StagedOutcome run_staged(BatchOp* ops, size_t count);
+
+  // Per-op state for run_staged (reused across calls; grown once to the
+  // pipeline depth, never shrunk, so steady state is allocation-free).
+  struct BatchSlot {
+    enum class Stage : uint8_t {
+      kIdle,     // not a search
+      kLacRead,  // rides the first round with a speculative leaf read
+      kWalk,     // start walk (post_walk / resolve_walk)
+      kRoot,     // in flight: the root image (the walk found no start)
+      kStep,     // next descent level (local)
+      kChild,    // in flight: a child node
+      kLeaf,     // (re)read the leaf
+      kDone,     // decided
+      kSerial,   // continues in search_attempts() from next_attempt
+    };
+    Stage stage = Stage::kIdle;
+    bool posted = false;  // posted into the current round
+    std::optional<art::TerminatedKey> key;
+    uint64_t full_hash = 0;
+    uint32_t units = 0;
+    rdma::GlobalAddr leaf_addr;
+    bool hot = false;
+    uint32_t fused_len = 0;
+    uint64_t fused_hash = 0;
+    uint64_t fused_payload = 0;
+    std::optional<rdma::RetryPolicy> policy;
+    bool allow_custom = true;
+    uint32_t next_attempt = 1;
+    uint32_t leaf_reads = 0;
+    Descent descent;  // the LAC leaf and fused inner read land here too
+    StartWalk walk;
+  };
+  // Creates the op's RetryPolicy (before attempt 0, as the serial loop
+  // does) and charges attempt 0's backoff slot.
+  void begin_attempt(BatchSlot& s);
+  // Attempt 0's local steps until the op posts its next read into round_
+  // (true, *phase set) or its descent ends.
+  bool post_search_step(BatchSlot& s, BatchOp& op, rdma::Phase* phase,
+                        StagedOutcome* outcome);
+  void resolve_search_step(BatchSlot& s, BatchOp& op, StagedOutcome* outcome);
+  // Stage 3 for one LAC hit whose leaf read landed.
+  void resolve_lac(BatchSlot& s, BatchOp& op, StagedOutcome* outcome);
+  // Applies the serial loop's verdict to attempt 0's descent.
+  void finish_attempt(BatchSlot& s, BatchOp& op, StagedOutcome* outcome);
 
   // Validates the node freshly fetched into out->image against what the
   // hash entry (or PEC) claimed, completing *out on success. Shared by the
@@ -289,51 +399,15 @@ class SphinxIndex final : public art::RemoteTree {
   bool validate_start(uint32_t len, uint64_t hash, art::NodeType type,
                       rdma::GlobalAddr addr, PathEntry* out);
 
-  // Validates INHT candidates for prefix length `len` and fills *out with
-  // the first verified node (feeding the PEC on success).
-  bool adopt_candidate(uint32_t len, uint64_t hash,
-                       const std::vector<uint64_t>& payloads, PathEntry* out);
-
-  // One shortcut attempt at prefix length `len`: PEC probe (speculative
-  // node read, doorbell-fused with the INHT group read when the entry is
-  // cold), then -- on a PEC miss with `inht_on_miss`, or after a stale hot
-  // entry -- the INHT hash-entry read.
-  bool try_start_at(uint32_t len, uint64_t hash, bool inht_on_miss,
-                    PathEntry* out);
-
   InhtClient inht_;
   filter::CuckooFilter* filter_;
   filter::PrefixEntryCache* pec_;
   filter::LeafAddressCache* lac_;
   SphinxConfig config_;
   SphinxStats sstats_;
-  std::vector<uint64_t> hash_scratch_;
-  std::vector<uint64_t> payload_scratch_;
-  // Per-descent scratch for the parallel multi-prefix INHT read and the
-  // fused speculative read (reused across operations; no per-op allocs).
-  std::vector<std::array<uint64_t, race::kSlotsPerGroup>> group_scratch_;
-  std::array<uint64_t, race::kSlotsPerGroup> fused_group_;
-  // When a stale cold hit's fused inner read validated: the descent start
-  // the immediately following fallback search consumes through
-  // find_start(), making the rescue read free (0 extra RTTs). Points into
-  // batch_slots_.
-  const PathEntry* pending_start_ = nullptr;
-  // Per-op state for run_staged (reused across calls; grown once to the
-  // pipeline depth, never shrunk, so steady state is allocation-free).
-  struct BatchSlot {
-    std::optional<art::TerminatedKey> key;
-    uint64_t full_hash = 0;
-    uint32_t units = 0;
-    rdma::GlobalAddr leaf_addr;
-    bool hot = false;
-    bool fused = false;    // op rides the shared speculative round trip
-    bool pending = false;  // stale leaf, but fused inner read validated
-    uint32_t fused_len = 0;
-    uint64_t fused_hash = 0;
-    uint64_t fused_payload = 0;
-    art::LeafImage leaf;
-    PathEntry inner;  // fused inner read lands here
-  };
+  StartWalk walk_;  // start_search()'s walk
+  // The doorbell every staged step posts into, reused across rounds.
+  rdma::DoorbellBatch round_;
   std::vector<BatchSlot> batch_slots_;
 };
 

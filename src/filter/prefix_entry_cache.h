@@ -7,7 +7,7 @@
 // Coherence is by validation, not invalidation messages: the cached payload
 // is only a *hint*, and the fetched node is verified against the prefix
 // hash, type and depth exactly as an INHT-read candidate would be
-// (SphinxIndex::adopt_candidate). A stale entry therefore costs at most one
+// (SphinxIndex::validate_start). A stale entry therefore costs at most one
 // wasted node read -- or zero, when the speculative read is doorbell-fused
 // with the INHT group read -- never a wrong answer.
 //

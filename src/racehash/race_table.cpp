@@ -122,25 +122,36 @@ void RaceClient::match_group(uint64_t hash,
 
 void RaceClient::search(uint64_t hash, std::vector<uint64_t>& payloads_out) {
   rdma::PhaseScope phase(endpoint_, rdma::Phase::kInhtRead);
-  stats_.searches++;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    if (dir_cache_.empty()) refresh_directory();
-    const uint64_t seg_offset = dir_cache_[dir_index(hash)];
-    // Header + group in one doorbell batch: one round trip, two messages.
-    uint64_t header = 0;
-    uint64_t group[kSlotsPerGroup];
-    rdma::DoorbellBatch batch(endpoint_);
-    batch.add_read(rdma::GlobalAddr(table_.mn, seg_offset), &header, 8);
-    batch.add_read(group_addr(seg_offset, hash), group, sizeof(group));
+  SearchRead read;
+  rdma::DoorbellBatch batch(endpoint_);
+  for (uint32_t attempt = 0; attempt < kSearchAttempts; ++attempt) {
+    batch.clear();
+    post_search(hash, attempt, &batch, &read);
     batch.execute();
-    const uint8_t ld = hdr_ld(header);
-    if (suffix_of(hash, ld) != hdr_suffix(header)) {
-      refresh_directory();  // stale cache: the segment split/moved
-      continue;
-    }
-    match_group(hash, group, payloads_out);
-    return;
+    if (finish_search(hash, read, payloads_out)) return;
   }
+}
+
+void RaceClient::post_search(uint64_t hash, uint32_t attempt,
+                             rdma::DoorbellBatch* batch, SearchRead* read) {
+  if (attempt == 0) stats_.searches++;
+  if (dir_cache_.empty()) refresh_directory();
+  const uint64_t seg_offset = dir_cache_[dir_index(hash)];
+  // Header + group in one doorbell batch: one round trip, two messages.
+  batch->add_read(rdma::GlobalAddr(table_.mn, seg_offset), &read->header, 8);
+  batch->add_read(group_addr(seg_offset, hash), read->group,
+                  sizeof(read->group));
+}
+
+bool RaceClient::finish_search(uint64_t hash, const SearchRead& read,
+                               std::vector<uint64_t>& payloads_out) {
+  const uint8_t ld = hdr_ld(read.header);
+  if (suffix_of(hash, ld) != hdr_suffix(read.header)) {
+    refresh_directory();  // stale cache: the segment split/moved
+    return false;
+  }
+  match_group(hash, read.group, payloads_out);
+  return true;
 }
 
 bool RaceClient::insert(uint64_t hash, uint64_t payload) {

@@ -107,8 +107,26 @@ class RaceClient {
                           std::vector<uint64_t>& payloads_out);
 
   // Single-probe search: one READ round trip. Returns all fp-matching
-  // payloads (usually 0 or 1).
+  // payloads (usually 0 or 1). The one-op driver of the two halves below.
   void search(uint64_t hash, std::vector<uint64_t>& payloads_out);
+
+  // search() split at its round trip, so a caller can share the doorbell
+  // with other reads. post_search() appends the segment header and group
+  // reads for `hash` to `batch` (refreshing an empty directory cache
+  // first; attempt 0 counts the search). After the batch executed,
+  // finish_search() checks the header against the cached directory: true
+  // appends the group's fp-matching payloads; false means the directory
+  // was stale and has been refreshed, and the caller re-posts while
+  // attempt + 1 < kSearchAttempts (after that the search found nothing).
+  struct SearchRead {
+    uint64_t header = 0;
+    uint64_t group[kSlotsPerGroup];
+  };
+  static constexpr uint32_t kSearchAttempts = 3;
+  void post_search(uint64_t hash, uint32_t attempt, rdma::DoorbellBatch* batch,
+                   SearchRead* read);
+  bool finish_search(uint64_t hash, const SearchRead& read,
+                     std::vector<uint64_t>& payloads_out);
 
   // Inserts (hash -> payload). Returns false only if the table failed to
   // make room (pathological). Duplicate suppression is the caller's job.

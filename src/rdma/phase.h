@@ -14,10 +14,13 @@
 //
 // Charging rule under cross-op fusion: phases charge per ROUND TRIP, never
 // per verb and never per op. When one doorbell round trip serves several
-// operations (the pipelined client's shared speculative round, or a cold
-// hit's leaf+inner hedge), the whole round trip -- its one RTT and all its
+// operations (the pipelined client's shared rounds, or a cold hit's
+// leaf+inner hedge), the whole round trip -- its one RTT and all its
 // bytes -- is charged once, to the phase of the innermost scope at execute
-// time (kLacFusedRead for the pipelined batch). Nothing is split or
+// time. The pipelined client sets that scope per round: kLacFusedRead for
+// the round carrying LAC-hit leaf reads, otherwise the phase of the first
+// op, in batch order, that posted into the round (a one-op round thus
+// keeps the serial walk's phase). Nothing is split or
 // prorated across the ops sharing the wire: splitting would require a
 // per-op cost model the fabric doesn't have, and any rule that charges
 // fractions re-opens rounding gaps between per-phase sums and totals. The

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/dist.h"
@@ -70,7 +71,12 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
       dist = std::make_shared<UniformDistribution>(std::max<uint64_t>(n0, 1));
       break;
     case RequestDist::kLatest:
-      latest = std::make_shared<LatestDistribution>(std::max<uint64_t>(n0, 1));
+      // The watermark starts at the first index this run's inserts claim
+      // (insert failures of earlier runs leave it above visible_).
+      latest = std::make_shared<LatestDistribution>(std::max<uint64_t>(
+          std::min<uint64_t>(insert_cursor_.load(std::memory_order_relaxed),
+                             keys_.size()),
+          1));
       dist = latest;
       break;
   }
@@ -170,6 +176,10 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
         endpoint->set_trace(traced ? wrec : nullptr, w);
         const char* op_name = "op";
         const uint64_t t0 = endpoint->clock_ns();
+        // A fresh insert claim the latest distribution's watermark waits
+        // for: acknowledged once the insert finishes, even when a crash
+        // abandons it (the key then stays an honest hole).
+        std::optional<uint64_t> open_claim;
         try {
           const double roll = rng.next_double();
           if (roll < p_read) {
@@ -195,6 +205,7 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
               out.reused_key_inserts++;
             } else {
               idx = insert_cursor_.fetch_add(1, std::memory_order_relaxed);
+              if (latest && idx < keys_.size()) open_claim = idx;
             }
             if (idx >= keys_.size()) {
               // Key pool exhausted: degrade to an update so the op mix keeps
@@ -208,19 +219,19 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
               std::memcpy(value.data(), &op, std::min<size_t>(8, value.size()));
               if (index->insert(keys_[idx], value)) {
                 owned.push_back(idx);
-                // Only successful fresh inserts become visible / advance
-                // the latest-distribution frontier (a reinsert is already
-                // below it). A failed fresh insert leaves keys_[idx] a
+                // Only successful fresh inserts become visible (a reinsert
+                // already is). A failed fresh insert leaves keys_[idx] a
                 // permanent hole: once later successes move `visible_` past
                 // idx, reads drawing it miss -- honestly.
-                if (!reused) {
-                  visible_.fetch_add(1, std::memory_order_relaxed);
-                  if (latest) latest->advance_frontier();
-                }
+                if (!reused) visible_.fetch_add(1, std::memory_order_relaxed);
               } else {
                 out.insert_failures++;
                 // A reused key is still absent; let a later insert retry it.
                 if (reused) freed.push_back(idx);
+              }
+              if (open_claim) {
+                latest->acknowledge(*open_claim);
+                open_claim.reset();
               }
             }
           } else if (roll < p_remove) {
@@ -272,6 +283,7 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
             if (index->last_scan_truncated()) out.scan_truncated++;
           }
         } catch (const rdma::ClientCrashed&) {
+          if (open_claim) latest->acknowledge(*open_claim);
           out.client_crashes++;
           out.net += endpoint->stats();
           clock_carry = endpoint->clock_ns();
@@ -414,6 +426,13 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
             }
             for (uint32_t i = 0; i < planned; ++i) {
               const BatchOp& b = batch[i];
+              // Every fresh insert claim is acknowledged once the batch is
+              // over, landed or not (reinserts are already below the
+              // watermark).
+              if (latest && b.kind == BatchOp::Kind::kInsert &&
+                  !plan[i].reused) {
+                latest->acknowledge(plan[i].key_idx);
+              }
               // Ops the crash caught mid-flight are abandoned exactly like
               // a crashed serial op: no outcome, no latency sample (their
               // fate is decided by the survivors' lock reclamation).
@@ -428,7 +447,6 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
                     owned.push_back(plan[i].key_idx);
                     if (!plan[i].reused) {
                       visible_.fetch_add(1, std::memory_order_relaxed);
-                      if (latest) latest->advance_frontier();
                     }
                   } else {
                     out.insert_failures++;

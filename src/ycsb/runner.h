@@ -67,9 +67,11 @@ struct RunResult {
   uint64_t misses = 0;        // reads/updates of not-yet-visible keys
   uint64_t insert_overflow = 0;  // insert pool exhausted (fell back to update)
   // Run-phase inserts whose index->insert() returned false. Failed inserts
-  // do NOT advance the visible set or the latest-distribution frontier;
-  // the claimed key stays a hole in the pool and later reads of it count
-  // as misses. Zero in any fault-free run.
+  // do NOT advance the visible set; the claimed key stays a hole in the
+  // pool and later reads of it count as misses. The latest distribution's
+  // watermark still moves past the hole: every fresh claim is acknowledged
+  // once its insert has finished, landed, failed or abandoned by a crash,
+  // and never before. Zero in any fault-free run.
   uint64_t insert_failures = 0;
   // Injected client crashes (kClientCrash faults). Each kills one worker
   // mid-op; the runner reincarnates it with a fresh endpoint + index client

@@ -117,10 +117,12 @@ struct StressReport {
   uint64_t lac_wrong_value = 0;
   uint64_t lac_second_pass_stale = 0;
   // Pipelined-client traffic (pipeline_depth > 1, Sphinx only): point ops
-  // whose leaf reads were merged into shared doorbell rounds, and the
-  // number of those fused rounds. Zero in serial runs.
+  // whose leaf reads were merged into shared doorbell rounds, the number
+  // of those fused rounds, and the searches decided by the staged rounds
+  // after them (the miss path). Zero in serial runs.
   uint64_t batch_fused_ops = 0;
   uint64_t batch_fused_rounds = 0;
+  uint64_t batch_shared_ops = 0;
   // Crash-tolerance accounting: injected client deaths, post-crash reads
   // that observed a state outside the crashed op's acceptable set (old xor
   // new -- a torn or lost-ack outcome), mutations that honestly exhausted
@@ -216,6 +218,7 @@ class StressHarness {
     report.lac_stale = lac_stale_.load();
     report.batch_fused_ops = batch_fused_ops_.load();
     report.batch_fused_rounds = batch_fused_rounds_.load();
+    report.batch_shared_ops = batch_shared_ops_.load();
     report.client_crashes = crashes_.load();
     report.crash_timeouts = crash_timeouts_.load();
     verify_quiesced(oracles, &report);
@@ -334,6 +337,7 @@ class StressHarness {
       lac_wrong_value_.fetch_add(sx->sphinx_stats().lac_wrong_value);
       batch_fused_ops_.fetch_add(sx->sphinx_stats().batch_fused_ops);
       batch_fused_rounds_.fetch_add(sx->sphinx_stats().batch_fused_rounds);
+      batch_shared_ops_.fetch_add(sx->sphinx_stats().batch_shared_ops);
     }
     std::lock_guard<std::mutex> lock(recovery_mu_);
     if (const auto* tree = dynamic_cast<art::RemoteTree*>(index)) {
@@ -837,6 +841,7 @@ class StressHarness {
   std::atomic<uint64_t> lac_wrong_value_{0};
   std::atomic<uint64_t> batch_fused_ops_{0};
   std::atomic<uint64_t> batch_fused_rounds_{0};
+  std::atomic<uint64_t> batch_shared_ops_{0};
   // Crash-tolerance accounting (see StressReport).
   std::atomic<uint64_t> crashes_{0};
   std::atomic<uint64_t> crash_resolve_violations_{0};

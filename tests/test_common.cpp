@@ -2,6 +2,8 @@
 // table printing, flags.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <map>
 #include <set>
 #include <string>
@@ -183,13 +185,33 @@ TEST(Latest, PrefersRecentlyInserted) {
     if (dist.next(rng) >= 990) recent++;  // newest 1%
   }
   EXPECT_GT(static_cast<double>(recent) / 20000, 0.3);
-  // Advancing the frontier makes new indexes reachable.
-  for (int i = 0; i < 100; ++i) dist.advance_frontier();
+  // Acknowledging claims makes new indexes reachable.
+  for (uint64_t i = 1000; i < 1100; ++i) dist.acknowledge(i);
   bool saw_new = false;
   for (int i = 0; i < 20000 && !saw_new; ++i) {
     saw_new = dist.next(rng) >= 1000;
   }
   EXPECT_TRUE(saw_new);
+}
+
+TEST(Latest, WatermarkWaitsForTheOldestOpenClaim) {
+  // Claims 1000 and 1001 finish out of order: neither index may be drawn
+  // until 1000 is acknowledged, then both are.
+  LatestDistribution dist(1000);
+  Rng rng(8);
+  auto max_draw = [&] {
+    uint64_t m = 0;
+    for (int i = 0; i < 20000; ++i) m = std::max(m, dist.next(rng));
+    return m;
+  };
+  dist.acknowledge(1001);
+  EXPECT_EQ(max_draw(), 999u);
+  dist.acknowledge(1000);
+  EXPECT_EQ(max_draw(), 1001u);
+  // Stale or repeated acknowledgements never move the watermark.
+  dist.acknowledge(1000);
+  dist.acknowledge(5);
+  EXPECT_EQ(max_draw(), 1001u);
 }
 
 TEST(Uniform, CoversRange) {

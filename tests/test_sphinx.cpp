@@ -8,7 +8,10 @@
 
 #include "art/art_index.h"
 #include "common/rng.h"
+#include "common/hash.h"
 #include "core/sphinx_index.h"
+#include "filter/leaf_addr_cache.h"
+#include "filter/prefix_entry_cache.h"
 #include "test_util.h"
 #include "ycsb/dataset.h"
 
@@ -316,6 +319,106 @@ TEST_F(SphinxTest, SearchIsCheaperThanArtForDeepKeys) {
   }
   const uint64_t art_rtts = ep2.stats().round_trips - art_rtt0;
   EXPECT_LT(sphinx_rtts, art_rtts);
+}
+
+TEST_F(SphinxTest, PipelinedSearchesShareEveryRoundTrip) {
+  // Four keys under four distinct inner nodes (g0- .. g3-). A reader with
+  // the shared warm filter and warm INHT directories, but its own cold PEC
+  // and LAC, pays 3 round trips per search (INHT entry, inner node,
+  // leaf). Batched, each round carries every search's next read, so the
+  // four cost the 3 round trips of the longest.
+  const char* keys[] = {"g0-a", "g1-a", "g2-a", "g3-a"};
+  for (int g = 0; g < 4; ++g) {
+    for (const char* leaf : {"a", "b"}) {
+      const std::string k = "g" + std::to_string(g) + "-" + leaf;
+      ASSERT_TRUE(index_->insert(k, "v-" + k));
+    }
+  }
+  struct Reader {
+    rdma::Endpoint ep;
+    mem::RemoteAllocator alloc;
+    std::unique_ptr<filter::PrefixEntryCache> pec;
+    SphinxIndex index;
+    Reader(mem::Cluster& cluster, const SphinxRefs& refs,
+           filter::CuckooFilter* filter, filter::LeafAddressCache* lac)
+        : ep(cluster.fabric(), 1, true),
+          alloc(cluster, ep),
+          pec(filter::PrefixEntryCache::with_budget(1 << 16)),
+          index(cluster, ep, alloc, refs, filter, pec.get(), lac) {
+      // Warm every MN's INHT directory cache, and nothing else.
+      for (uint64_t i = 0; i < 64; ++i) {
+        index.inht().client_for(splitmix64(i)).refresh_directory();
+      }
+    }
+    uint64_t rtts() const { return ep.stats().round_trips; }
+  };
+  std::string v;
+  for (const char* k : keys) {
+    auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+    Reader alone(*cluster_, refs_, filter_.get(), lac.get());
+    const uint64_t rtt0 = alone.rtts();
+    ASSERT_TRUE(alone.index.search(k, &v));
+    EXPECT_EQ(v, std::string("v-") + k);
+    EXPECT_EQ(alone.rtts() - rtt0, 3u) << k;
+  }
+
+  std::string values[4];
+  auto run_batch = [&](Reader& r) {
+    BatchOp ops[4];
+    for (int i = 0; i < 4; ++i) {
+      ops[i].key = keys[i];
+      ops[i].value_out = &values[i];
+    }
+    const uint64_t rtt0 = r.rtts();
+    r.index.execute_batch(ops, 4);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(ops[i].done && ops[i].ok) << keys[i];
+      EXPECT_EQ(values[i], std::string("v-") + keys[i]);
+    }
+    EXPECT_EQ(r.ep.stats().rtts_sum_by_phase(), r.ep.stats().round_trips);
+    EXPECT_EQ(r.ep.stats().bytes_sum_by_phase(), r.ep.stats().bytes_total());
+    return r.rtts() - rtt0;
+  };
+  auto phase_rtts = [](const Reader& r, rdma::Phase p) {
+    return r.ep.stats().rtts_by_phase[static_cast<size_t>(p)];
+  };
+
+  {
+    auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+    Reader r(*cluster_, refs_, filter_.get(), lac.get());
+    const uint64_t inht0 = phase_rtts(r, rdma::Phase::kInhtRead);
+    EXPECT_EQ(run_batch(r), 3u);  // serial: 4 x 3 = 12
+    const SphinxStats& s = r.index.sphinx_stats();
+    EXPECT_EQ(s.batch_ops, 4u);
+    EXPECT_EQ(s.batch_fused_rounds, 0u);
+    EXPECT_EQ(s.batch_fused_ops, 0u);
+    EXPECT_EQ(s.batch_serial_ops, 4u);
+    EXPECT_EQ(s.batch_shared_rounds, 3u);
+    EXPECT_EQ(s.batch_shared_ops, 4u);
+    // Each round is charged whole to its first poster's phase.
+    EXPECT_EQ(phase_rtts(r, rdma::Phase::kInhtRead) - inht0, 1u);
+    EXPECT_EQ(phase_rtts(r, rdma::Phase::kInnerRead), 1u);
+    EXPECT_EQ(phase_rtts(r, rdma::Phase::kLeafRead), 1u);
+  }
+  {
+    // Bind g0-a in the reader's LAC through a helper sharing only the LAC.
+    auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+    Reader helper(*cluster_, refs_, filter_.get(), lac.get());
+    ASSERT_TRUE(helper.index.search(keys[0], &v));
+    Reader r(*cluster_, refs_, filter_.get(), lac.get());
+    EXPECT_EQ(run_batch(r), 3u);  // serial: 1 + 3 x 3 = 10
+    const SphinxStats& s = r.index.sphinx_stats();
+    EXPECT_EQ(s.lac_hits, 1u);
+    EXPECT_EQ(s.batch_fused_rounds, 1u);
+    EXPECT_EQ(s.batch_fused_ops, 1u);
+    EXPECT_EQ(s.batch_serial_ops, 3u);
+    EXPECT_EQ(s.batch_shared_rounds, 2u);
+    EXPECT_EQ(s.batch_shared_ops, 3u);
+    // The LAC round also carries the three misses' INHT reads.
+    EXPECT_EQ(phase_rtts(r, rdma::Phase::kLacFusedRead), 1u);
+    EXPECT_EQ(phase_rtts(r, rdma::Phase::kInnerRead), 1u);
+    EXPECT_EQ(phase_rtts(r, rdma::Phase::kLeafRead), 1u);
+  }
 }
 
 TEST_F(SphinxTest, FilterMissFallsBackToParallelRead) {

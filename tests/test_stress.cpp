@@ -325,7 +325,7 @@ TEST(Stress, PipelinedSphinxUnderFaultsAndSplits) {
 
 TEST(Stress, PipelinedSphinxUnderClientCrashes) {
   // A crash can cut a batch anywhere: before the fused round, inside it,
-  // or between the serial fallback ops. Ops left with done == false are
+  // or between the serial-pass ops. Ops left with done == false are
   // resolved by read-back exactly like crashed serial ops -- the outcome
   // must be the old or the new state, never a torn one.
   StressOptions options = base_options(ycsb::SystemKind::kSphinx);
@@ -336,6 +336,26 @@ TEST(Stress, PipelinedSphinxUnderClientCrashes) {
   expect_clean(report);
   EXPECT_GT(report.client_crashes, 0u);
   EXPECT_GT(report.batch_fused_ops, 0u);
+}
+
+TEST(Stress, PipelinedSphinxMissPathUnderChurnAndFaults) {
+  // With the LAC off, every batched search takes the staged miss path:
+  // PEC-hinted and INHT-resolved start nodes, child and leaf reads, each
+  // posted into rounds shared with the batch's other searches, while deep
+  // churn stripes split, grow and move nodes under them, faults reorder
+  // verbs and crashes cut batches anywhere.
+  StressOptions options = base_options(ycsb::SystemKind::kSphinx);
+  options.pipeline_depth = 8;
+  options.lac_budget = 0;
+  options.churn_keys_per_thread = 96;
+  options.ops_per_thread = 2000;
+  options.faults = true;
+  options.crash_rate = 0.004;
+  const StressReport report = run_stress(options);
+  expect_clean(report);
+  EXPECT_EQ(report.lac_hits, 0u);
+  EXPECT_GT(report.batch_shared_ops, 0u);
+  EXPECT_GT(report.client_crashes, 0u);
 }
 
 TEST(Stress, PipelinedBaselinesStayCleanOnSerialFallback) {

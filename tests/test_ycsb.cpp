@@ -3,8 +3,14 @@
 // standard workload.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <map>
 #include <set>
+#include <sstream>
+#include <thread>
 
+#include "core/sphinx_index.h"
 #include "test_util.h"
 #include "ycsb/dataset.h"
 #include "ycsb/runner.h"
@@ -221,6 +227,139 @@ TEST(Runner, PipelineDepth1IsBitIdenticalToSerialDefault) {
   EXPECT_DOUBLE_EQ(def.mean_latency_ns, d1.mean_latency_ns);
 }
 
+// Depth-1 traffic fingerprint: one worker, one loader and a fixed seed
+// make every run below deterministic, so its traffic and counters are
+// pinned exactly. The golden lines were recorded before the staged search
+// engine existed; the serial client's depth-1 traffic must not move.
+struct FingerprintCase {
+  const char* name;
+  SystemKind kind;
+  DatasetKind dataset;
+  char workload;  // 'X' = churn
+  bool lac;
+  const char* golden;  // nonzero fields, "name=value" separated by spaces
+};
+
+std::map<std::string, std::string> depth1_fingerprint(
+    const FingerprintCase& c) {
+  auto cluster = testing::make_test_cluster();
+  SystemSetup setup(c.kind, *cluster, 16ull << 10, kAutoPecBudget,
+                    c.lac ? kAutoLacBudget : 0);
+  YcsbRunner runner(*cluster, setup.factory(),
+                    generate_keys(c.dataset, 6000, 3));
+  runner.load(4000, 64, /*workers=*/1);
+  core::SphinxStats sphinx;
+  art::TreeStats tree;
+  runner.set_per_worker_hook([&](KvIndex& index, uint32_t) {
+    if (auto* s = dynamic_cast<core::SphinxIndex*>(&index)) {
+      sphinx += s->sphinx_stats();
+    }
+    const art::TreeStats& t =
+        dynamic_cast<art::RemoteTree&>(index).tree_stats();
+    tree.op_retries += t.op_retries;
+    tree.lock_fail_retries += t.lock_fail_retries;
+    tree.type_switches += t.type_switches;
+    tree.splits += t.splits;
+    tree.torn_leaf_rereads += t.torn_leaf_rereads;
+    tree.invalid_node_retries += t.invalid_node_retries;
+    tree.start_fallbacks += t.start_fallbacks;
+    tree.ops_failed += t.ops_failed;
+    tree.alloc_degraded_ops += t.alloc_degraded_ops;
+    tree.root_replica_reads += t.root_replica_reads;
+    tree.root_primary_reads += t.root_primary_reads;
+    tree.root_replica_propagations += t.root_replica_propagations;
+    tree.root_replica_rechecks += t.root_replica_rechecks;
+    tree.recovery += t.recovery;
+    tree.backoff += t.backoff;
+    tree.scan += t.scan;
+  });
+  RunOptions options;
+  options.workers = 1;
+  options.ops_per_worker = 600;
+  options.seed = 5;
+  const RunResult r = runner.run(
+      c.workload == 'X' ? churn_workload() : standard_workload(c.workload),
+      options);
+
+  std::map<std::string, std::string> f;
+  auto put = [&f](const std::string& name, uint64_t v) {
+    if (v != 0) f[name] = std::to_string(v);
+  };
+  for (const auto& field : rdma::kEndpointStatsFields) {
+    put(field.name, r.net.*(field.ptr));
+  }
+  for (uint32_t p = 0; p < rdma::kNumPhases; ++p) {
+    const char* phase = rdma::phase_name(static_cast<rdma::Phase>(p));
+    put(std::string("rtts.") + phase, r.net.rtts_by_phase[p]);
+    put(std::string("bytes.") + phase, r.net.bytes_by_phase[p]);
+  }
+  char sim[32];
+  std::snprintf(sim, sizeof(sim), "%.17g", r.sim_seconds);
+  f["sim_seconds"] = sim;
+  put("misses", r.misses);
+  for (const auto& field : core::kSphinxStatsFields) {
+    put(std::string("sphinx.") + field.name, sphinx.*(field.ptr));
+  }
+  put("tree.op_retries", tree.op_retries);
+  put("tree.lock_fail_retries", tree.lock_fail_retries);
+  put("tree.type_switches", tree.type_switches);
+  put("tree.splits", tree.splits);
+  put("tree.torn_leaf_rereads", tree.torn_leaf_rereads);
+  put("tree.invalid_node_retries", tree.invalid_node_retries);
+  put("tree.start_fallbacks", tree.start_fallbacks);
+  put("tree.ops_failed", tree.ops_failed);
+  put("tree.alloc_degraded_ops", tree.alloc_degraded_ops);
+  put("tree.root_replica_reads", tree.root_replica_reads);
+  put("tree.root_primary_reads", tree.root_primary_reads);
+  put("tree.root_replica_propagations", tree.root_replica_propagations);
+  put("tree.root_replica_rechecks", tree.root_replica_rechecks);
+  put("tree.backoff_waits", tree.backoff.waits);
+  put("tree.backoff_wait_ns", tree.backoff.wait_ns);
+  for (const auto& field : rdma::kRecoveryStatsFields) {
+    put(std::string("tree.recovery.") + field.name, tree.recovery.*(field.ptr));
+  }
+  for (const auto& field : rdma::kScanStatsFields) {
+    put(std::string("tree.scan.") + field.name, tree.scan.*(field.ptr));
+  }
+  return f;
+}
+
+std::string join_fingerprint(const std::map<std::string, std::string>& f) {
+  std::string out;
+  for (const auto& [name, value] : f) {
+    if (!out.empty()) out += ' ';
+    out += name + "=" + value;
+  }
+  return out;
+}
+
+TEST(Runner, Depth1TrafficMatchesRecordedFingerprint) {
+  using DK = DatasetKind;
+  const FingerprintCase cases[] = {
+#include "depth1_fingerprint.inc"
+  };
+  for (const FingerprintCase& c : cases) {
+    std::map<std::string, std::string> golden;
+    std::istringstream in(c.golden);
+    for (std::string tok; in >> tok;) {
+      const size_t eq = tok.find('=');
+      golden[tok.substr(0, eq)] = tok.substr(eq + 1);
+    }
+    const std::map<std::string, std::string> now = depth1_fingerprint(c);
+    std::string diff;
+    for (const auto& [name, value] : golden) {
+      const auto it = now.find(name);
+      const std::string got = it == now.end() ? "0" : it->second;
+      if (got != value) diff += " " + name + ": " + value + " -> " + got;
+    }
+    for (const auto& [name, value] : now) {
+      if (golden.count(name) == 0) diff += " " + name + ": 0 -> " + value;
+    }
+    EXPECT_TRUE(diff.empty()) << c.name << " moved:" << diff
+                              << "\n  now: " << join_fingerprint(now);
+  }
+}
+
 TEST(Runner, PipelinedSphinxFusesRoundTrips) {
   auto make_result = [](uint32_t depth) {
     auto cluster = testing::make_test_cluster();
@@ -298,6 +437,80 @@ TEST(Runner, PipelinedWorkloadDResolvesInsertOutcomes) {
   EXPECT_EQ(result.insert_overflow, 0u);
   EXPECT_LT(static_cast<double>(result.misses),
             0.02 * static_cast<double>(result.total_ops));
+}
+
+// Forwards to `inner`, but holds every insert of one worker back in real
+// time before it starts, so other workers finish later claims first.
+class SlowInsertIndex final : public KvIndex {
+ public:
+  SlowInsertIndex(std::unique_ptr<KvIndex> inner, bool slow)
+      : inner_(std::move(inner)), slow_(slow) {}
+  bool search(Slice key, std::string* value_out) override {
+    return inner_->search(key, value_out);
+  }
+  bool insert(Slice key, Slice value) override {
+    hold();
+    return inner_->insert(key, value);
+  }
+  bool update(Slice key, Slice value) override {
+    return inner_->update(key, value);
+  }
+  bool remove(Slice key) override { return inner_->remove(key); }
+  size_t scan(Slice start_key, size_t count,
+              std::vector<std::pair<std::string, std::string>>* out) override {
+    return inner_->scan(start_key, count, out);
+  }
+  size_t scan_range(
+      Slice low_key, Slice high_key, size_t max_results,
+      std::vector<std::pair<std::string, std::string>>* out) override {
+    return inner_->scan_range(low_key, high_key, max_results, out);
+  }
+  void execute_batch(BatchOp* ops, size_t count) override {
+    for (size_t i = 0; i < count; ++i) {
+      if (ops[i].kind == BatchOp::Kind::kInsert) hold();
+    }
+    inner_->execute_batch(ops, count);
+  }
+  uint64_t client_clock_ns() const override {
+    return inner_->client_clock_ns();
+  }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  void hold() const {
+    if (slow_) std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  std::unique_ptr<KvIndex> inner_;
+  bool slow_;
+};
+
+TEST(Runner, WorkloadDReadsOnlyAcknowledgedInserts) {
+  // YCSB-D's latest reads draw below an acknowledged watermark, so a
+  // fault-free run never reads a key whose insert is still in flight,
+  // even when one worker's inserts finish long after later claims of the
+  // others: at depth 1, and at depth 8, where a batch's inserts land only
+  // after the batch.
+  for (uint32_t depth : {1u, 8u}) {
+    auto cluster = testing::make_test_cluster();
+    SystemSetup setup(SystemKind::kSphinx, *cluster);
+    IndexFactory base = setup.factory();
+    YcsbRunner runner(
+        *cluster,
+        [&](uint32_t worker, uint32_t cn, rdma::Endpoint& endpoint,
+            mem::RemoteAllocator& allocator) -> std::unique_ptr<KvIndex> {
+          return std::make_unique<SlowInsertIndex>(
+              base(worker, cn, endpoint, allocator), worker == 0);
+        },
+        generate_u64_keys(20000, 9));
+    runner.load(10000, 64, /*workers=*/4);
+    RunOptions options;
+    options.workers = 4;
+    options.ops_per_worker = 800;
+    options.pipeline_depth = depth;
+    const RunResult result = runner.run(standard_workload('D'), options);
+    EXPECT_EQ(result.insert_failures, 0u) << "depth " << depth;
+    EXPECT_EQ(result.misses, 0u) << "depth " << depth;
+  }
 }
 
 // ---- end-to-end matrix: every system x every workload ----------------------------

@@ -1321,13 +1321,15 @@ bool RemoteTree::reclaim_leaf(const TerminatedKey& key, rdma::GlobalAddr addr,
 // Frontier-batched scan engine. The frontier is a key-ordered worklist of
 // pending children; each round fetches the leading unvisited entries
 // *across subtrees* in one doorbell batch (kScanFanout wide, leaf runs and
-// inner nodes interleaved), pops validated leaves off the front in order,
-// and splices an expanded inner node's in-window children back in place.
-// Round trips therefore scale like tree depth + ceil(nodes / fanout)
-// instead of one batch sequence per subtree. Stale pointers re-resolve
-// through the parent's slot word under the per-op RetryPolicy; an
-// exhausted budget is surfaced (counters + last_scan_truncated()), never
-// silently skipped.
+// inner nodes interleaved). As soon as a batch lands, every fetched inner
+// node that validates is replaced in place by its in-window children, so
+// the next batch reads the leaves of all those subtrees at once; validated
+// leaves pop off the front in order. Round trips therefore scale like tree
+// depth + ceil(nodes / fanout) instead of one batch per subtree. A count
+// scan whose entry holds too few leaves for its count widens before
+// fetching them. Stale pointers re-resolve through the parent's slot word
+// under the per-op RetryPolicy; an exhausted budget is surfaced (counters +
+// last_scan_truncated()), never silently skipped.
 
 namespace {
 
@@ -1385,6 +1387,11 @@ uint32_t RemoteTree::register_scan_prefix(Slice prefix) {
 
 int RemoteTree::compose_scan_child_prefix(const ScanItem& item,
                                           const InnerImage& node) {
+  if (node.status() == NodeStatus::kInvalid ||
+      node.type() != slot_child_type(item.word) ||
+      node.depth() <= item.parent_depth) {
+    return -1;  // switched out, or a recycled block of another shape
+  }
   const std::string& pp = scan_prefixes_[item.prefix_id];
   const std::string& pm = scan_prefix_masks_[item.prefix_id];
   const uint32_t d = item.parent_depth;  // == pp.size()
@@ -1679,6 +1686,22 @@ void RemoteTree::run_scan(
         }
       }
     }
+    // A count scan whose jump entry lists only leaves, fewer than the count
+    // still wanted, would drain them and widen anyway: widen before paying
+    // a round trip for them. The wider entry re-lists this subtree as a
+    // child and fetches the leaves then; none were emitted, so nothing is
+    // pruned. (An empty entry costs no round trip; the ordinary widen below
+    // takes it and prunes it.) The cap strictly falls, and cap 0 is a root
+    // entry.
+    if (high == nullptr && entry_depth > 0 && !frontier_.empty() &&
+        frontier_.size() < count - out->size() &&
+        std::all_of(frontier_.begin(), frontier_.end(),
+                    [](const ScanItem& it) { return slot_is_leaf(it.word); })) {
+      stats_.scan.widen_resumes++;
+      stats_.scan.early_widens++;
+      count_cap = entry_depth - 1;
+      continue;
+    }
 
     // ---- frontier walk -----------------------------------------------------
     bool restart = false;
@@ -1777,6 +1800,29 @@ void RemoteTree::run_scan(
             continue;
           }
         }
+        // Replace every fetched inner node that validates by its in-window
+        // children, at its own position, so the next batch reads the leaves
+        // of all these subtrees at once. A node that fails stays fetched
+        // for the head loop to recover.
+        for (size_t i = head; i < frontier_.size();) {
+          ScanItem it = frontier_[i];  // a copy: the erase below moves it
+          const int child_prefix =
+              it.fetched && !slot_is_leaf(it.word)
+                  ? compose_scan_child_prefix(it, scan_inner_pool_[it.buf])
+                  : -1;
+          if (child_prefix < 0) {
+            ++i;
+            continue;
+          }
+          // The image stays valid: a freed pool slot is reused only by a
+          // later batch. The children land at i, unfetched, and are
+          // stepped over by the next iterations.
+          release_buf(it);
+          frontier_.erase(frontier_.begin() + static_cast<ptrdiff_t>(i));
+          expand_into_frontier(slot_addr(it.word), scan_inner_pool_[it.buf],
+                               bound, high, it.lo_bounded, it.hi_bounded, i,
+                               static_cast<uint32_t>(child_prefix));
+        }
       }
 
       // Consume validated items off the front, strictly in key order.
@@ -1854,44 +1900,26 @@ void RemoteTree::run_scan(
           release_buf(it);
           head++;
         } else {
-          InnerImage& node = scan_inner_pool_[it.buf];
-          // A node that parses but fails the prefix composition (fragment
-          // or full-hash mismatch) is a recycled block from elsewhere in
-          // the tree -- treat it exactly like a stale pointer.
-          int child_prefix = -1;
-          if (node.status() == NodeStatus::kInvalid ||
-              node.type() != slot_child_type(it.word) ||
-              node.depth() <= it.parent_depth ||
-              (child_prefix = compose_scan_child_prefix(it, node)) < 0) {
-            invalidate_inner(slot_addr(it.word), node);
-            release_buf(it);
-            const ScanRecover r =
-                recover_scan_item(it, /*leaf_deleted=*/false, policy,
-                                  &attempt);
-            if (r == ScanRecover::kRefetch) break;
-            if (r == ScanRecover::kGone) {
-              head++;
-              continue;
-            }
-            if (r == ScanRecover::kRestart) {
-              restart = true;
-              break;
-            }
-            // kDrop: a whole live subtree may be lost; count + truncate.
-            stats_.scan.subtree_skips++;
-            mark_truncated();
+          // Valid inner nodes were expanded when their batch landed. One
+          // still fetched failed compose_scan_child_prefix: a stale pointer,
+          // or a recycled block from elsewhere in the tree. Re-resolve it.
+          invalidate_inner(slot_addr(it.word), scan_inner_pool_[it.buf]);
+          release_buf(it);
+          const ScanRecover r =
+              recover_scan_item(it, /*leaf_deleted=*/false, policy, &attempt);
+          if (r == ScanRecover::kRefetch) break;
+          if (r == ScanRecover::kGone) {
             head++;
             continue;
           }
-          const rdma::GlobalAddr addr = slot_addr(it.word);
-          const bool lo_b = it.lo_bounded;
-          const bool hi_b = it.hi_bounded;
-          release_buf(it);
+          if (r == ScanRecover::kRestart) {
+            restart = true;
+            break;
+          }
+          // kDrop: a whole live subtree may be lost; count + truncate.
+          stats_.scan.subtree_skips++;
+          mark_truncated();
           head++;
-          // Splice the children in at the consumed position; `node` stays
-          // valid (the freed pool slot is reused only by a later batch).
-          expand_into_frontier(addr, node, bound, high, lo_b, hi_b, head,
-                               static_cast<uint32_t>(child_prefix));
         }
       }
     }

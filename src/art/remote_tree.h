@@ -514,11 +514,12 @@ class RemoteTree : public KvIndex {
   // Scans walk a key-ordered frontier of pending children instead of
   // recursing one subtree at a time: every round fetches the leading
   // unvisited children *across subtrees* in one doorbell batch (capped at
-  // kScanFanout), emits leaves in order from the front, and splices an
-  // expanded inner node's children in place. Stale pointers are
-  // re-resolved through the parent's slot word under the per-op
-  // RetryPolicy; exhausted budgets surface as counted skips/drops plus
-  // last_scan_truncated(), never as silent omissions.
+  // kScanFanout), replaces each fetched inner node that validates by its
+  // children in place as soon as the batch lands (so the next batch reads
+  // the leaves of every such subtree), and emits leaves in order from the
+  // front. Stale pointers are re-resolved through the parent's slot word
+  // under the per-op RetryPolicy; exhausted budgets surface as counted
+  // skips/drops plus last_scan_truncated(), never as silent omissions.
 
   // One pending child in the frontier. Carries enough of the parent to
   // re-resolve the slot when the fetched image turns out stale.
@@ -536,7 +537,8 @@ class RemoteTree : public KvIndex {
   };
 
   // Drives one full scan: count-scan when `high` is null (with
-  // widen-and-resume past the entry subtree), Scan(K1, K2) otherwise.
+  // widen-and-resume past the entry subtree, before reading the entry's
+  // leaves when they are all it lists and too few), Scan(K1, K2) otherwise.
   // Resume/restart rounds re-enter with the last emitted key as an
   // exclusive lower bound.
   void run_scan(const TerminatedKey& low, const TerminatedKey* high,
@@ -566,9 +568,11 @@ class RemoteTree : public KvIndex {
 
   // Records a fully-known prefix (scan entry), returning its id.
   uint32_t register_scan_prefix(Slice prefix);
-  // Extends `item`'s parent prefix with its branch byte and `node`'s
-  // fragment; returns the new prefix id, or -1 on a definite mismatch
-  // (recycled or foreign node).
+  // Checks a fetched inner `node` against the position `item` names
+  // (status, type, deeper than the parent) and extends `item`'s parent
+  // prefix with its branch byte and `node`'s fragment; returns the new
+  // prefix id, or -1 for a stale node or a definite mismatch (recycled or
+  // foreign node).
   int compose_scan_child_prefix(const ScanItem& item, const InnerImage& node);
   // Whether a fetched leaf's (terminated) key matches every known byte of
   // the position `item` represents.

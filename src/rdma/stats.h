@@ -206,6 +206,7 @@ struct ScanStats {
   uint64_t jump_starts = 0;       // entered below the root (find_scan_start)
   uint64_t root_starts = 0;       // entered at the root (cached or fetched)
   uint64_t widen_resumes = 0;     // count-scan spilled past its entry subtree
+  uint64_t early_widens = 0;      // of those, before reading entry leaves
   uint64_t restarts = 0;          // frontier rebuilt after a stale path
   uint64_t frontier_batches = 0;  // doorbell batches issued by the frontier
   uint64_t frontier_nodes = 0;    // nodes fetched by those batches
@@ -223,6 +224,7 @@ inline constexpr metrics::Field<ScanStats> kScanStatsFields[] = {
     {"jump_starts", &ScanStats::jump_starts},
     {"root_starts", &ScanStats::root_starts},
     {"widen_resumes", &ScanStats::widen_resumes},
+    {"early_widens", &ScanStats::early_widens},
     {"restarts", &ScanStats::restarts},
     {"frontier_batches", &ScanStats::frontier_batches},
     {"frontier_nodes", &ScanStats::frontier_nodes},

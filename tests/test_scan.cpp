@@ -119,6 +119,45 @@ TEST_F(ScanRaceTest, StaleFrontierPointerIsChasedNotDropped) {
   EXPECT_FALSE(scanner_->last_scan_truncated());
 }
 
+// Same race, with the stale node fetched behind the head: the batch that
+// reads aa's leaves and "ab" also reads "ac" (switched out after its slot
+// was snapshotted) and "ad" speculatively. Expanding fetched nodes as they
+// land must leave the stale image alone (expanding "ab" and "ad" around
+// it), and the head loop must chase the fresh pointer once it gets there.
+TEST_F(ScanRaceTest, StaleSiblingFetchedBehindTheHeadIsChased) {
+  make_scanner(TreeConfig());
+  // root -> "a" -> { "aa", "ab", "ad" (three leaves each), "ac" (full
+  // Node-4: ac1..ac4) }, plus "b".
+  for (const char* k : {"aa1", "aa2", "aa3", "ab1", "ab2", "ab3", "ac1",
+                        "ac2", "ac3", "ac4", "ad1", "ad2", "ad3", "b"}) {
+    ASSERT_TRUE(mutator_->insert(k, std::string("v:") + k));
+  }
+  std::string expanded;  // branch byte of each depth-2 node, in order
+  scanner_->hook = [&](rdma::GlobalAddr, const InnerImage& image) {
+    if (image.depth() != 2) return;
+    const uint64_t fw = image.frag_word();
+    expanded += static_cast<char>(frag_byte(fw, frag_len(fw) - 1));
+    // "aa" is expanded before any sibling is fetched; growing "ac" now
+    // leaves its snapshotted slot word pointing at the Invalid old node,
+    // which the next batch fetches behind "ab".
+    if (expanded == "a") ASSERT_TRUE(mutator_->insert("ac5", "v:ac5"));
+  };
+  KvList out;
+  scanner_->scan("a", 100, &out);
+
+  const std::vector<std::string> want = {
+      "aa1", "aa2", "aa3", "ab1", "ab2", "ab3", "ac1", "ac2",
+      "ac3", "ac4", "ac5", "ad1", "ad2", "ad3", "b"};
+  EXPECT_EQ(keys_of(out), want);
+  // "ad" was expanded on landing, ahead of the re-fetched "ac".
+  EXPECT_EQ(expanded, "abdc");
+  const rdma::ScanStats& scan = scanner_->tree_stats().scan;
+  EXPECT_GE(scan.stale_retries, 1u);
+  EXPECT_EQ(scan.subtree_skips, 0u);
+  EXPECT_EQ(scan.leaf_drops, 0u);
+  EXPECT_FALSE(scanner_->last_scan_truncated());
+}
+
 // A leaf removed mid-scan (Invalid status, slot possibly still linked) is
 // a genuine delete: skipped with no counters tripped and no truncation.
 TEST_F(ScanRaceTest, ConcurrentlyRemovedLeafIsSkippedCleanly) {
@@ -272,6 +311,37 @@ TEST_F(ScanRaceTest, CachedRootSavesTheStandaloneRootRtt) {
   EXPECT_GE(scanner_->tree_stats().scan.root_starts, 2u);
 }
 
+// Every fetched inner node that validates is expanded when its batch
+// lands, so one batch reads the leaves of all the subtrees fetched before
+// it instead of one subtree per round trip.
+TEST_F(ScanRaceTest, OneBatchReadsTheLeavesOfManySubtrees) {
+  make_scanner(TreeConfig());
+  // root -> "a" -> { "aa".."ad" (Node-4, three leaves each) }, plus "b".
+  std::map<std::string, std::string> oracle;
+  for (const char* sub : {"aa", "ab", "ac", "ad"}) {
+    for (const char* leaf : {"1", "2", "3"}) {
+      const std::string k = std::string(sub) + leaf;
+      ASSERT_TRUE(mutator_->insert(k, "v:" + k));
+      oracle.emplace(k, "v:" + k);
+    }
+  }
+  ASSERT_TRUE(mutator_->insert("b", "v:b"));
+  KvList out;
+  scanner_->scan("a", 12, &out);  // warms the cached root
+
+  const uint64_t batches = scanner_->tree_stats().scan.frontier_batches;
+  const uint64_t rtts = scan_ep_->stats().round_trips;
+  out.clear();
+  scanner_->scan("a", 12, &out);
+  // 1: "a" plus the root revalidation. 2: "aa". 3: aa's leaves plus
+  // "ab".."ad", which expand on landing. 4: the nine leaves under those
+  // three. Expanding at the frontier's head only took 6: one per subtree.
+  EXPECT_EQ(scanner_->tree_stats().scan.frontier_batches - batches, 4u);
+  EXPECT_EQ(scan_ep_->stats().round_trips - rtts, 4u);
+  EXPECT_EQ(out, KvList(oracle.begin(), oracle.end()));
+  EXPECT_FALSE(scanner_->last_scan_truncated());
+}
+
 // ---- oracle semantics ---------------------------------------------------------
 
 TEST(ScanOracle, ArtScanAndScanRangeMatchStdMap) {
@@ -388,6 +458,61 @@ TEST_F(SphinxScanTest, JumpEntryAndWidenResumeMatchOracle) {
   EXPECT_EQ(scan.subtree_skips, 0u);
   EXPECT_EQ(scan.leaf_drops, 0u);
   EXPECT_EQ(scan.truncated_scans, 0u);
+}
+
+// A count scan whose entry lists fewer leaves than it needs widens before
+// reading them: the wider entry's first batch fetches that subtree beside
+// its siblings, one round trip less than reading the leaves first. A scan
+// the entry's leaves can satisfy does not widen.
+TEST_F(SphinxScanTest, CountScanWidensBeforeReadingTooFewLeaves) {
+  // "user" (depth 4) -> { "user1", "user2", "user3" (leaves a, b, c) }.
+  std::map<std::string, std::string> oracle;
+  for (const char* user : {"user1", "user2", "user3"}) {
+    for (const char* suffix : {"a", "b", "c"}) {
+      const std::string k = std::string(user) + suffix;
+      ASSERT_TRUE(index_->insert(k, "v:" + k));
+      oracle.emplace(k, "v:" + k);
+    }
+  }
+  struct Run {
+    KvList out;
+    uint64_t rtts = 0;
+    uint64_t early_widens = 0;
+  };
+  auto scan = [&](size_t count) {
+    Run r;
+    const uint64_t rtts = endpoint_->stats().round_trips;
+    const uint64_t early = index_->tree_stats().scan.early_widens;
+    index_->scan("user1a", count, &r.out);
+    r.rtts = endpoint_->stats().round_trips - rtts;
+    r.early_widens = index_->tree_stats().scan.early_widens - early;
+    return r;
+  };
+  auto oracle_from_start = [&](size_t count) {
+    KvList want;
+    for (auto it = oracle.begin(); it != oracle.end() && want.size() < count;
+         ++it) {
+      want.emplace_back(it->first, it->second);
+    }
+    return want;
+  };
+  scan(9);  // warms the SFC and PEC along the path
+
+  // Entry "user1" (2 round trips); its three leaves cannot make six, so
+  // the scan re-enters at "user" (2 more), reads "user1" and "user2" in
+  // one batch and their six leaves in the next. Reading user1's leaves
+  // before widening cost a seventh round trip.
+  const Run wide = scan(6);
+  EXPECT_EQ(wide.out, oracle_from_start(6));
+  EXPECT_EQ(wide.early_widens, 1u);
+  EXPECT_EQ(wide.rtts, 6u);
+
+  // Three leaves meet a count of three: no widen, entry plus one batch.
+  const Run narrow = scan(3);
+  EXPECT_EQ(narrow.out, oracle_from_start(3));
+  EXPECT_EQ(narrow.early_widens, 0u);
+  EXPECT_EQ(narrow.rtts, 3u);
+  EXPECT_EQ(index_->tree_stats().scan.truncated_scans, 0u);
 }
 
 // The A/B switch: jump-entry on and off produce byte-identical results

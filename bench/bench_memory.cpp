@@ -41,17 +41,16 @@ MemoryRow measure(ycsb::SystemKind kind, const std::vector<std::string>& keys,
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
-  const std::string datasets = flags.get_string("datasets", "u64,email");
+  std::vector<ycsb::DatasetKind> datasets;
+  if (!parse_datasets(flags.get_string("datasets", "u64,email"), &datasets)) {
+    return 2;
+  }
   flags.reject_unknown();
 
   std::cout << "# Fig. 6 -- MN-side memory usage after loading " << num_keys
             << " key-value pairs (64 B values)\n\n";
 
-  for (const ycsb::DatasetKind dataset :
-       {ycsb::DatasetKind::kU64, ycsb::DatasetKind::kEmail}) {
-    if (datasets.find(ycsb::dataset_name(dataset)) == std::string::npos) {
-      continue;
-    }
+  for (const ycsb::DatasetKind dataset : datasets) {
     const auto keys = ycsb::generate_keys(dataset, num_keys, 1);
 
     const MemoryRow art = measure(ycsb::SystemKind::kArt, keys, num_keys);

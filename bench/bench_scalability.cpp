@@ -126,8 +126,6 @@ int run(int argc, char** argv) {
       static_cast<uint32_t>(flags.get_u64("cns", 3));
   const uint32_t vnodes =
       static_cast<uint32_t>(flags.get_u64("vnodes", 128));
-  const uint32_t depth =
-      static_cast<uint32_t>(flags.get_u64("pipeline-depth", 1));
   const bool root_replicas = flags.get_u64("root-replicas", 1) != 0;
   const std::string json_path = flags.get_string("json", "");
 
@@ -141,6 +139,16 @@ int run(int argc, char** argv) {
   if (!parse_u32_list("mns", flags.get_string("mns", "3"), &mn_counts)) {
     return 2;
   }
+  std::vector<uint32_t> depths;
+  if (!parse_u32_list("pipeline-depth", flags.get_string("pipeline-depth", "1"),
+                      &depths)) {
+    return 2;
+  }
+  if (depths.size() != 1) {
+    std::cerr << "--pipeline-depth: expected one depth\n";
+    return 2;
+  }
+  const uint32_t depth = depths[0];
   std::vector<ycsb::DatasetKind> datasets;
   if (!parse_datasets(flags.get_string("datasets", "u64,email"), &datasets)) {
     return 2;

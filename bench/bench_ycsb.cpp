@@ -47,8 +47,8 @@
 // --no-lac disables the LAC, reproducing the two-tier SFC+PEC
 // configuration bit for bit.
 // --pipeline-depth=<csv> runs every workload once per listed depth (e.g.
-// "1,8"). Depth 1 is the serial client, bit-identical to before pipelining
-// existed; deeper runs keep N point ops in flight per worker
+// "1,8"). Depth 1 submits batches of one, with the serial client's
+// traffic; deeper runs keep N point ops in flight per worker
 // (ycsb::RunOptions::pipeline_depth) and report under the workload name
 // suffixed ":p<depth>" so JSON records and the regression gate keep
 // distinct keys. The Fig. 4 table shows the depth-1 (paper-comparable)

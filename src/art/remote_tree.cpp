@@ -272,13 +272,12 @@ bool RemoteTree::search_attempts(const TerminatedKey& key,
   for (uint32_t r = first;; ++r) {
     if (!policy.backoff(r)) break;
     Descent& d = descend(key, allow_custom && r < 8, r == 0);
-    switch (search_verdict(d, value_out, r, &allow_custom)) {
-      case SearchVerdict::kFound:
-        return true;
-      case SearchVerdict::kAbsent:
-        return false;
-      case SearchVerdict::kRetry:
-        continue;
+    if (d.status == DescendStatus::kFoundLeaf) {
+      take_found_leaf(d, value_out);
+      return true;
+    }
+    if (miss_verdict(d, r, &allow_custom) == MissVerdict::kAbsent) {
+      return false;
     }
   }
   stats_.recovery.retry_timeouts++;
@@ -286,52 +285,46 @@ bool RemoteTree::search_attempts(const TerminatedKey& key,
   return false;
 }
 
-RemoteTree::SearchVerdict RemoteTree::search_verdict(Descent& d,
-                                                     std::string* value_out,
-                                                     uint32_t r,
-                                                     bool* allow_custom) {
-  switch (d.status) {
-    case DescendStatus::kFoundLeaf:
-      if (value_out != nullptr) {
-        value_out->assign(d.leaf.value().data(), d.leaf.value().size());
-      }
-      // The descent just proved key -> (leaf_addr, units) fresh against
-      // remote memory: feed the leaf address cache.
-      note_leaf_at(d.leaf.key(), d.leaf_addr, d.leaf.units());
-      return SearchVerdict::kFound;
-    case DescendStatus::kFoundInvalidLeaf:
-    case DescendStatus::kNoSlot:
-    case DescendStatus::kLeafMismatch:
-    case DescendStatus::kFragMismatch:
-      if (d.from_custom_start) {
-        // A false positive or stale shortcut could have landed us in the
-        // wrong subtree; re-verify from the root (paper Sec. III-B).
-        stats_.start_fallbacks++;
-        *allow_custom = false;
-        return SearchVerdict::kRetry;
-      }
-      if (descent_used_cache() || d.used_replica_root) {
-        // SMART reverse check: an absent verdict derived from cached
-        // nodes must be confirmed against remote memory. The same
-        // discipline covers a root-replica entry (the replica may lag
-        // the primary by one propagation): the retry descends through
-        // the primary, since only first attempts route to replicas.
-        if (descent_used_cache()) {
-          for (const PathEntry& e : d.path) invalidate_inner(e.addr);
-          set_cache_bypass(true);
-        }
-        if (d.used_replica_root) stats_.root_replica_rechecks++;
-        stats_.op_retries++;
-        return SearchVerdict::kRetry;
-      }
-      return SearchVerdict::kAbsent;
-    case DescendStatus::kNeedRetry:
-    case DescendStatus::kTimedOut:
-      stats_.op_retries++;
-      if (r >= 4) *allow_custom = false;
-      return SearchVerdict::kRetry;
+void RemoteTree::take_found_leaf(const Descent& d, std::string* value_out) {
+  if (value_out != nullptr) {
+    value_out->assign(d.leaf.value().data(), d.leaf.value().size());
   }
-  return SearchVerdict::kRetry;
+  // The descent just proved key -> (leaf_addr, units) fresh against remote
+  // memory: feed the leaf address cache.
+  note_leaf_at(d.leaf.key(), d.leaf_addr, d.leaf.units());
+}
+
+RemoteTree::MissVerdict RemoteTree::miss_verdict(const Descent& d, uint32_t r,
+                                                 bool* allow_custom) {
+  assert(d.status != DescendStatus::kFoundLeaf);
+  if (d.status == DescendStatus::kNeedRetry ||
+      d.status == DescendStatus::kTimedOut) {
+    stats_.op_retries++;
+    if (r >= 4) *allow_custom = false;
+    return MissVerdict::kRetry;
+  }
+  if (d.from_custom_start) {
+    // A false positive or stale shortcut could have landed us in the
+    // wrong subtree; re-verify from the root (paper Sec. III-B).
+    stats_.start_fallbacks++;
+    *allow_custom = false;
+    return MissVerdict::kRetry;
+  }
+  if (descent_used_cache() || d.used_replica_root) {
+    // SMART reverse check: an absent verdict derived from cached nodes
+    // must be confirmed against remote memory. The same discipline covers
+    // a root-replica entry (the replica may lag the primary by one
+    // propagation): the retry descends through the primary, since only
+    // first attempts route to replicas.
+    if (descent_used_cache()) {
+      for (const PathEntry& e : d.path) invalidate_inner(e.addr);
+      set_cache_bypass(true);
+    }
+    if (d.used_replica_root) stats_.root_replica_rechecks++;
+    stats_.op_retries++;
+    return MissVerdict::kRetry;
+  }
+  return MissVerdict::kAbsent;
 }
 
 // ---- insert -----------------------------------------------------------------
@@ -888,178 +881,137 @@ bool RemoteTree::update(Slice key, Slice value) {
   for (uint32_t r = 0;; ++r) {
     if (!policy.backoff(r)) break;
     Descent& d = descend(tkey, allow_custom && r < 8, r == 0);
-    switch (d.status) {
-      case DescendStatus::kFoundLeaf: {
-        const uint64_t seen = d.leaf.header();
-        if (d.leaf.status() != NodeStatus::kIdle) {
-          // Another writer holds the leaf (possibly a crashed one). Watch
-          // the raw remote word: header() may carry locally patched
-          // lengths, which the reclaim CAS could never match.
-          note_busy_leaf(tkey, d.leaf_addr, d.leaf.raw_header());
-          stats_.op_retries++;
-          continue;
-        }
-        const uint32_t needed = leaf_units_for(
-            d.leaf.key_len(), static_cast<uint32_t>(value.size()));
-        if (needed <= d.leaf.units()) {
-          // In-place: lock CAS, then one WRITE carrying the new value, the
-          // Idle status and the fresh checksum (combined release+write).
-          const uint64_t locked = lease_leaf_locked(seen);
-          uint64_t observed = 0;
-          bool won;
-          {
-            rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
-            won = endpoint_.cas(d.leaf_addr, seen, locked, &observed,
-                                rdma::FaultSite::kLockAcquire);
-          }
-          if (!won) {
-            stats_.lock_fail_retries++;
-            if (header_busy(observed)) {
-              note_busy_leaf(tkey, d.leaf_addr, observed);
-            }
-            continue;
-          }
-          LeafImage img = d.leaf;
-          img.replace_value(value);
-          // Publish body first, header (with the Idle status that releases
-          // the lock) last, in one doorbell batch: a competing writer's
-          // lock CAS cannot succeed until the complete image is visible,
-          // so two in-place updates never interleave their writes. A crash
-          // between the two writes leaves the new body + trailer under a
-          // locked header; the reclaimer's trailer validation rolls the
-          // update forward (the body write is the linearization point).
-          rdma::DoorbellBatch publish(endpoint_);
-          publish.add_write(d.leaf_addr.plus(8), img.buf().data() + 8,
-                            img.buf().size() - 8,
-                            rdma::FaultSite::kPayloadWrite);
-          publish.add_write(d.leaf_addr, img.buf().data(), 8,
-                            rdma::FaultSite::kLockRelease);
-          {
-            rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
-            publish.execute();
-          }
-          // In-place: address and units are unchanged; this refreshes the
-          // cached binding's confidence, it does not move it.
-          note_leaf_at(tkey.full(), d.leaf_addr, d.leaf.units());
-          return true;
-        }
-        // Out-of-place: lock the old leaf (blocks in-place updaters), then
-        // swap the parent slot to a bigger leaf.
-        const uint64_t locked = lease_leaf_locked(seen);
-        uint64_t observed = 0;
-        bool won;
-        {
-          rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
-          won = endpoint_.cas(d.leaf_addr, seen, locked, &observed,
-                              rdma::FaultSite::kLockAcquire);
-        }
-        if (!won) {
-          stats_.lock_fail_retries++;
-          if (header_busy(observed)) {
-            note_busy_leaf(tkey, d.leaf_addr, observed);
-          }
-          continue;
-        }
-        PathEntry& parent = d.path.back();
-        const uint64_t seen_p = parent.image.header();
-        bool done = false;
-        if (header_status(seen_p) == NodeStatus::kIdle) {
-          rdma::DoorbellBatch pre(endpoint_);
-          NewLeaf leaf = make_leaf(tkey, value, &pre);
-          if (!leaf.ok) {
-            // Release the leaf lock below and abandon the op (degraded).
-            alloc_failed_ = true;
-            {
-              rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
-              endpoint_.cas(d.leaf_addr, locked, seen, nullptr,
-                            rdma::FaultSite::kLockRelease);
-            }
-            return fail_degraded();
-          }
-          NodeLock lock_p;
-          post_lock(&pre, parent.addr, seen_p, &lock_p);
-          {
-            rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
-            pre.execute();
-          }
-          if (lock_won(tkey, pre, lock_p)) {
-            const uint8_t branch = tkey.byte(parent.image.depth());
-            const int idx = lock_p.image.find_pkey(branch);
-            if (idx >= 0 && lock_p.image.slot(static_cast<uint32_t>(idx)) ==
-                                parent.taken_word) {
-              done = install_slot_locked(
-                  &lock_p, static_cast<uint32_t>(idx), parent.taken_word,
-                  pack_leaf_slot(branch, leaf.units, leaf.addr),
-                  rdma::FaultSite::kSlotInstall);
-              // The key moved to a new block: replace the cached binding
-              // in one step (no separate retire for the old address).
-              if (done) note_leaf_at(tkey.full(), leaf.addr, leaf.units);
-            } else {
-              unlock_node(lock_p);
-            }
-          }
-          if (!done) {
-            allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
-                            mem::AllocTag::kLeaf);
-          }
-        } else {
-          note_busy_inner(tkey, parent.addr, seen_p);
-        }
-        if (done) {
-          // Old leaf: Locked -> Invalid, then into the epoch quarantine
-          // (recycled once every worker passes this epoch). A stale reader
-          // that reaches the recycled block fails the key/CRC validation
-          // and retries. A crash before this write leaves the old leaf
-          // locked *and* detached; the reclaimer's reachability probe
-          // restores Invalid.
-          {
-            rdma::PhaseScope retire_scope(endpoint_, rdma::Phase::kLeafWrite);
-            endpoint_.write64(d.leaf_addr,
-                              with_status(seen, NodeStatus::kInvalid),
-                              rdma::FaultSite::kLockRelease);
-          }
-          allocator_.retire(
-              d.leaf_addr,
-              static_cast<uint64_t>(d.leaf.units()) * kLeafUnitBytes,
-              mem::AllocTag::kLeaf);
-          return true;
-        }
-        // Release the leaf lock and retry.
+    if (d.status != DescendStatus::kFoundLeaf) {
+      if (miss_verdict(d, r, &allow_custom) == MissVerdict::kAbsent) {
+        return false;
+      }
+      continue;
+    }
+    const uint64_t seen = d.leaf.header();
+    if (d.leaf.status() != NodeStatus::kIdle) {
+      // Another writer holds the leaf (possibly a crashed one). Watch
+      // the raw remote word: header() may carry locally patched
+      // lengths, which the reclaim CAS could never match.
+      note_busy_leaf(tkey, d.leaf_addr, d.leaf.raw_header());
+      stats_.op_retries++;
+      continue;
+    }
+    // Lock the leaf. In place, one WRITE then carries the new value, the
+    // Idle status and the fresh checksum (combined release+write); out of
+    // place, the lock blocks in-place updaters while the parent slot swaps
+    // to a bigger leaf.
+    const uint64_t locked = lease_leaf_locked(seen);
+    uint64_t observed = 0;
+    bool won;
+    {
+      rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
+      won = endpoint_.cas(d.leaf_addr, seen, locked, &observed,
+                          rdma::FaultSite::kLockAcquire);
+    }
+    if (!won) {
+      stats_.lock_fail_retries++;
+      if (header_busy(observed)) note_busy_leaf(tkey, d.leaf_addr, observed);
+      continue;
+    }
+    if (leaf_units_for(d.leaf.key_len(),
+                       static_cast<uint32_t>(value.size())) <=
+        d.leaf.units()) {
+      LeafImage img = d.leaf;
+      img.replace_value(value);
+      // Publish body first, header (with the Idle status that releases
+      // the lock) last, in one doorbell batch: a competing writer's
+      // lock CAS cannot succeed until the complete image is visible,
+      // so two in-place updates never interleave their writes. A crash
+      // between the two writes leaves the new body + trailer under a
+      // locked header; the reclaimer's trailer validation rolls the
+      // update forward (the body write is the linearization point).
+      rdma::DoorbellBatch publish(endpoint_);
+      publish.add_write(d.leaf_addr.plus(8), img.buf().data() + 8,
+                        img.buf().size() - 8,
+                        rdma::FaultSite::kPayloadWrite);
+      publish.add_write(d.leaf_addr, img.buf().data(), 8,
+                        rdma::FaultSite::kLockRelease);
+      {
+        rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
+        publish.execute();
+      }
+      // In-place: address and units are unchanged; this refreshes the
+      // cached binding's confidence, it does not move it.
+      note_leaf_at(tkey.full(), d.leaf_addr, d.leaf.units());
+      return true;
+    }
+    PathEntry& parent = d.path.back();
+    const uint64_t seen_p = parent.image.header();
+    bool done = false;
+    if (header_status(seen_p) == NodeStatus::kIdle) {
+      rdma::DoorbellBatch pre(endpoint_);
+      NewLeaf leaf = make_leaf(tkey, value, &pre);
+      if (!leaf.ok) {
+        // Release the leaf lock below and abandon the op (degraded).
+        alloc_failed_ = true;
         {
           rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
           endpoint_.cas(d.leaf_addr, locked, seen, nullptr,
                         rdma::FaultSite::kLockRelease);
         }
-        stats_.op_retries++;
-        continue;
+        return fail_degraded();
       }
-      case DescendStatus::kFoundInvalidLeaf:
-      case DescendStatus::kNoSlot:
-      case DescendStatus::kLeafMismatch:
-      case DescendStatus::kFragMismatch:
-        if (d.from_custom_start) {
-          stats_.start_fallbacks++;
-          allow_custom = false;
-          continue;
+      NodeLock lock_p;
+      post_lock(&pre, parent.addr, seen_p, &lock_p);
+      {
+        rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
+        pre.execute();
+      }
+      if (lock_won(tkey, pre, lock_p)) {
+        const uint8_t branch = tkey.byte(parent.image.depth());
+        const int idx = lock_p.image.find_pkey(branch);
+        if (idx >= 0 && lock_p.image.slot(static_cast<uint32_t>(idx)) ==
+                            parent.taken_word) {
+          done = install_slot_locked(
+              &lock_p, static_cast<uint32_t>(idx), parent.taken_word,
+              pack_leaf_slot(branch, leaf.units, leaf.addr),
+              rdma::FaultSite::kSlotInstall);
+          // The key moved to a new block: replace the cached binding
+          // in one step (no separate retire for the old address).
+          if (done) note_leaf_at(tkey.full(), leaf.addr, leaf.units);
+        } else {
+          unlock_node(lock_p);
         }
-        if (descent_used_cache() || d.used_replica_root) {
-          // Reverse check (see search()): cached or replica-derived
-          // absence must be confirmed through the primary root.
-          if (descent_used_cache()) {
-            for (const PathEntry& e : d.path) invalidate_inner(e.addr);
-            set_cache_bypass(true);
-          }
-          if (d.used_replica_root) stats_.root_replica_rechecks++;
-          stats_.op_retries++;
-          continue;
-        }
-        return false;
-      case DescendStatus::kNeedRetry:
-      case DescendStatus::kTimedOut:
-        stats_.op_retries++;
-        if (r >= 4) allow_custom = false;
-        continue;
+      }
+      if (!done) {
+        allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
+                        mem::AllocTag::kLeaf);
+      }
+    } else {
+      note_busy_inner(tkey, parent.addr, seen_p);
     }
+    if (done) {
+      // Old leaf: Locked -> Invalid, then into the epoch quarantine
+      // (recycled once every worker passes this epoch). A stale reader
+      // that reaches the recycled block fails the key/CRC validation
+      // and retries. A crash before this write leaves the old leaf
+      // locked *and* detached; the reclaimer's reachability probe
+      // restores Invalid.
+      {
+        rdma::PhaseScope retire_scope(endpoint_, rdma::Phase::kLeafWrite);
+        endpoint_.write64(d.leaf_addr,
+                          with_status(seen, NodeStatus::kInvalid),
+                          rdma::FaultSite::kLockRelease);
+      }
+      allocator_.retire(
+          d.leaf_addr,
+          static_cast<uint64_t>(d.leaf.units()) * kLeafUnitBytes,
+          mem::AllocTag::kLeaf);
+      return true;
+    }
+    // Release the leaf lock and retry.
+    {
+      rdma::PhaseScope lock_scope(endpoint_, rdma::Phase::kLock);
+      endpoint_.cas(d.leaf_addr, locked, seen, nullptr,
+                    rdma::FaultSite::kLockRelease);
+    }
+    stats_.op_retries++;
+    continue;
   }
   stats_.recovery.retry_timeouts++;
   stats_.ops_failed++;
@@ -1076,111 +1028,87 @@ bool RemoteTree::remove(Slice key) {
   for (uint32_t r = 0;; ++r) {
     if (!policy.backoff(r)) break;
     Descent& d = descend(tkey, allow_custom && r < 8, r == 0);
-    switch (d.status) {
-      case DescendStatus::kFoundLeaf: {
-        const uint64_t seen = d.leaf.header();
-        if (d.leaf.status() != NodeStatus::kIdle) {
-          // Raw remote word, not header(): see the update() busy path.
-          note_busy_leaf(tkey, d.leaf_addr, d.leaf.raw_header());
-          stats_.op_retries++;
-          continue;
-        }
-        // One round trip: the Idle -> Invalid CAS, which is the
-        // linearization point (Sec. IV, Delete), then the parent lock CAS
-        // and the parent re-read for the slot cleanup. The slot cleanup
-        // runs under the parent lock. Pre-reclamation this was best-effort
-        // ("an Invalid leaf reads as absent everywhere"); with recycling, a
-        // block may only enter quarantine once its last live link is gone
-        // -- a leftover slot would otherwise dangle into a recycled block
-        // holding some other key. So retirement belongs to whoever unlinks
-        // the leaf: this clear when it lands, otherwise the
-        // insert_replace_invalid_leaf that later swaps the stale slot.
-        rdma::DoorbellBatch batch(endpoint_);
-        const size_t leaf_idx =
-            batch.add_cas(d.leaf_addr, seen,
-                          with_status(seen, NodeStatus::kInvalid),
-                          rdma::FaultSite::kLockAcquire);
-        PathEntry& parent = d.path.back();
-        const uint64_t seen_p = parent.image.header();
-        const bool parent_idle = header_status(seen_p) == NodeStatus::kIdle;
-        NodeLock lock_p;
-        if (parent_idle) post_lock(&batch, parent.addr, seen_p, &lock_p);
-        {
-          rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
-          batch.execute();
-        }
-        if (!batch.cas_ok(leaf_idx)) {
-          // Lost the linearization point: hand back a parent lock we won
-          // (+1 RTT, rare) and retry.
-          if (parent_idle && batch.cas_ok(lock_p.cas_idx)) {
-            unlock_node(lock_p);
-          }
-          const uint64_t observed = batch.old_value(leaf_idx);
-          if (header_busy(observed)) {
-            note_busy_leaf(tkey, d.leaf_addr, observed);
-          }
-          stats_.op_retries++;
-          continue;
-        }
-        // The leaf is Invalid as of the CAS above: purge this CN's cached
-        // binding at the linearization point.
-        note_leaf_retired(tkey.full(), d.leaf_addr);
-        bool unlinked = false;
-        if (!parent_idle) {
-          note_busy_inner(tkey, parent.addr, seen_p);
-        } else if (lock_won(tkey, batch, lock_p)) {
-          const uint8_t branch = tkey.byte(parent.image.depth());
-          const int idx = lock_p.image.find_pkey(branch);
-          if (idx >= 0 && lock_p.image.slot(static_cast<uint32_t>(idx)) ==
-                              parent.taken_word) {
-            unlinked = install_slot_locked(&lock_p, static_cast<uint32_t>(idx),
-                                           parent.taken_word, 0,
-                                           rdma::FaultSite::kNone);
-          } else {
-            unlock_node(lock_p);
-          }
-        }
-        if (unlinked) {
-          // Last live link removed by our CAS: the leaf enters the epoch
-          // quarantine and is recycled once every worker passes this
-          // epoch. When the clear did NOT land (parent busy/grown, or the
-          // slot already swapped), the leaf stays Invalid and linked; it
-          // is retired by the replacement that eventually unlinks it, or
-          // leaks if none ever does (bounded by clear-failure rate).
-          allocator_.retire(
-              d.leaf_addr,
-              static_cast<uint64_t>(d.leaf.units()) * kLeafUnitBytes,
-              mem::AllocTag::kLeaf);
-        }
-        return true;
-      }
-      case DescendStatus::kFoundInvalidLeaf:
-      case DescendStatus::kNoSlot:
-      case DescendStatus::kLeafMismatch:
-      case DescendStatus::kFragMismatch:
-        if (d.from_custom_start) {
-          stats_.start_fallbacks++;
-          allow_custom = false;
-          continue;
-        }
-        if (descent_used_cache() || d.used_replica_root) {
-          // Reverse check (see search()): cached or replica-derived
-          // absence must be confirmed through the primary root.
-          if (descent_used_cache()) {
-            for (const PathEntry& e : d.path) invalidate_inner(e.addr);
-            set_cache_bypass(true);
-          }
-          if (d.used_replica_root) stats_.root_replica_rechecks++;
-          stats_.op_retries++;
-          continue;
-        }
+    if (d.status != DescendStatus::kFoundLeaf) {
+      if (miss_verdict(d, r, &allow_custom) == MissVerdict::kAbsent) {
         return false;
-      case DescendStatus::kNeedRetry:
-      case DescendStatus::kTimedOut:
-        stats_.op_retries++;
-        if (r >= 4) allow_custom = false;
-        continue;
+      }
+      continue;
     }
+    const uint64_t seen = d.leaf.header();
+    if (d.leaf.status() != NodeStatus::kIdle) {
+      // Raw remote word, not header(): see the update() busy path.
+      note_busy_leaf(tkey, d.leaf_addr, d.leaf.raw_header());
+      stats_.op_retries++;
+      continue;
+    }
+    // One round trip: the Idle -> Invalid CAS, which is the
+    // linearization point (Sec. IV, Delete), then the parent lock CAS
+    // and the parent re-read for the slot cleanup. The slot cleanup
+    // runs under the parent lock. Pre-reclamation this was best-effort
+    // ("an Invalid leaf reads as absent everywhere"); with recycling, a
+    // block may only enter quarantine once its last live link is gone
+    // -- a leftover slot would otherwise dangle into a recycled block
+    // holding some other key. So retirement belongs to whoever unlinks
+    // the leaf: this clear when it lands, otherwise the
+    // insert_replace_invalid_leaf that later swaps the stale slot.
+    rdma::DoorbellBatch batch(endpoint_);
+    const size_t leaf_idx =
+        batch.add_cas(d.leaf_addr, seen,
+                      with_status(seen, NodeStatus::kInvalid),
+                      rdma::FaultSite::kLockAcquire);
+    PathEntry& parent = d.path.back();
+    const uint64_t seen_p = parent.image.header();
+    const bool parent_idle = header_status(seen_p) == NodeStatus::kIdle;
+    NodeLock lock_p;
+    if (parent_idle) post_lock(&batch, parent.addr, seen_p, &lock_p);
+    {
+      rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
+      batch.execute();
+    }
+    if (!batch.cas_ok(leaf_idx)) {
+      // Lost the linearization point: hand back a parent lock we won
+      // (+1 RTT, rare) and retry.
+      if (parent_idle && batch.cas_ok(lock_p.cas_idx)) {
+        unlock_node(lock_p);
+      }
+      const uint64_t observed = batch.old_value(leaf_idx);
+      if (header_busy(observed)) {
+        note_busy_leaf(tkey, d.leaf_addr, observed);
+      }
+      stats_.op_retries++;
+      continue;
+    }
+    // The leaf is Invalid as of the CAS above: purge this CN's cached
+    // binding at the linearization point.
+    note_leaf_retired(tkey.full(), d.leaf_addr);
+    bool unlinked = false;
+    if (!parent_idle) {
+      note_busy_inner(tkey, parent.addr, seen_p);
+    } else if (lock_won(tkey, batch, lock_p)) {
+      const uint8_t branch = tkey.byte(parent.image.depth());
+      const int idx = lock_p.image.find_pkey(branch);
+      if (idx >= 0 && lock_p.image.slot(static_cast<uint32_t>(idx)) ==
+                          parent.taken_word) {
+        unlinked = install_slot_locked(&lock_p, static_cast<uint32_t>(idx),
+                                       parent.taken_word, 0,
+                                       rdma::FaultSite::kNone);
+      } else {
+        unlock_node(lock_p);
+      }
+    }
+    if (unlinked) {
+      // Last live link removed by our CAS: the leaf enters the epoch
+      // quarantine and is recycled once every worker passes this
+      // epoch. When the clear did NOT land (parent busy/grown, or the
+      // slot already swapped), the leaf stays Invalid and linked; it
+      // is retired by the replacement that eventually unlinks it, or
+      // leaks if none ever does (bounded by clear-failure rate).
+      allocator_.retire(
+          d.leaf_addr,
+          static_cast<uint64_t>(d.leaf.units()) * kLeafUnitBytes,
+          mem::AllocTag::kLeaf);
+    }
+    return true;
   }
   stats_.recovery.retry_timeouts++;
   stats_.ops_failed++;

@@ -343,12 +343,15 @@ class RemoteTree : public KvIndex {
   bool leaf_landed(const TerminatedKey& key, Descent& d, uint32_t reads);
 
   // ---- search retry loop ----------------------------------------------------
-  enum class SearchVerdict { kFound, kAbsent, kRetry };
-  // What attempt `r`'s descent means for a point search: found (value
-  // copied out, binding noted), absent, or retry (counters bumped,
-  // *allow_custom cleared when the shortcut must be abandoned).
-  SearchVerdict search_verdict(Descent& d, std::string* value_out, uint32_t r,
-                               bool* allow_custom);
+  // A found leaf's search result: copies the value out and feeds the
+  // leaf address cache the binding the descent just proved.
+  void take_found_leaf(const Descent& d, std::string* value_out);
+  enum class MissVerdict { kAbsent, kRetry };
+  // What attempt `r`'s descent means when it did not find the key's leaf
+  // (any status but kFoundLeaf), shared by search, update and remove:
+  // absent, or retry (counters bumped, *allow_custom cleared when the
+  // shortcut must be abandoned).
+  MissVerdict miss_verdict(const Descent& d, uint32_t r, bool* allow_custom);
   // search()'s retry loop from attempt `first` on. `policy` must have been
   // created before attempt 0 (its op token is the verb sequence then).
   bool search_attempts(const TerminatedKey& key, std::string* value_out,

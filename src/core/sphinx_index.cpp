@@ -39,13 +39,17 @@ bool SphinxIndex::search(Slice key, std::string* value_out) {
 }
 
 void SphinxIndex::execute_batch(BatchOp* ops, size_t count) {
-  sstats_.batch_ops += count;
+  // The runners submit every op through here, so a batch of one is a
+  // serial op: only batches of two or more count in the batch_* stats.
+  const bool pipelined = count > 1;
+  if (pipelined) sstats_.batch_ops += count;
   // One pin brackets the whole batch: quiescence is announced at batch
   // boundaries (per-op pins inside the serial pass nest and collapse), so
   // the cross-op fused leaf reads can never chase a block that was
   // recycled mid-batch.
   mem::EpochPin epoch(allocator_);
   const StagedOutcome outcome = run_staged(ops, count);
+  if (!pipelined) return;
   if (outcome.fused_round) sstats_.batch_fused_rounds++;
   sstats_.batch_fused_ops += outcome.fused_ops;
   sstats_.batch_serial_ops += count - outcome.fused_ops;
@@ -341,16 +345,15 @@ void SphinxIndex::resolve_lac(BatchSlot& s, BatchOp& op,
 
 void SphinxIndex::finish_attempt(BatchSlot& s, BatchOp& op,
                                  StagedOutcome* outcome) {
-  switch (search_verdict(s.descent, op.value_out, 0, &s.allow_custom)) {
-    case SearchVerdict::kFound:
-      op.ok = true;
-      break;
-    case SearchVerdict::kAbsent:
-      op.ok = false;
-      break;
-    case SearchVerdict::kRetry:
-      s.stage = BatchSlot::Stage::kSerial;
-      return;
+  if (s.descent.status == DescendStatus::kFoundLeaf) {
+    take_found_leaf(s.descent, op.value_out);
+    op.ok = true;
+  } else if (miss_verdict(s.descent, 0, &s.allow_custom) ==
+             MissVerdict::kAbsent) {
+    op.ok = false;
+  } else {
+    s.stage = BatchSlot::Stage::kSerial;
+    return;
   }
   op.done = true;
   op.done_clock_ns = endpoint_.clock_ns();

@@ -75,7 +75,7 @@ struct SphinxStats {
   uint64_t lac_fused_wins = 0;   // cold-hit fused leaf read validated
   uint64_t lac_fused_losses = 0; // stale leaf; fused inner seeded fallback
   uint64_t lac_wrong_value = 0;  // 1-RTT return failed final audit (== 0!)
-  uint64_t batch_ops = 0;           // point ops entering execute_batch
+  uint64_t batch_ops = 0;           // ops in batches of two or more
   uint64_t batch_fused_ops = 0;     // ops completed by the LAC round
   uint64_t batch_fused_rounds = 0;  // LAC rounds (LAC-hit leaf reads) issued
   uint64_t batch_serial_ops = 0;    // batch ops the LAC round did not finish
@@ -340,7 +340,7 @@ class SphinxIndex final : public art::RemoteTree {
   // A round is charged to kLacFusedRead when it carries LAC-hit leaf
   // reads, else whole to the phase of the first op in batch order that
   // posted into it. Reports what the rounds did; execute_batch turns that
-  // into the batch_* counters, which count only ops entering execute_batch.
+  // into the batch_* counters, which count only batches of two or more.
   struct StagedOutcome {
     bool fused_round = false;  // the round carrying LAC-hit reads was issued
     size_t fused_ops = 0;      // ops that round completed by their LAC hit

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
-#include <optional>
 #include <thread>
 
 #include "common/dist.h"
@@ -154,9 +152,6 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
       };
       incarnate();
       Rng rng(options.seed * 7919 + w);
-      std::string value(spec.value_size, 'v');
-      std::string read_buf;
-      std::vector<std::pair<std::string, std::string>> scan_buf;
       // Churn-key lifecycle, worker-local so no two workers ever contend on
       // the same key's presence: `owned` holds pool indexes this worker
       // inserted and believes live, `freed` holds indexes its removes freed
@@ -168,358 +163,228 @@ RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
       std::vector<uint64_t> freed;
 
       rdma::TraceRecorder* wrec = traces.empty() ? nullptr : &traces[w];
-
-      if (options.pipeline_depth <= 1) {
-      for (uint64_t op = 0; op < options.ops_per_worker; ++op) {
-        const bool traced =
-            wrec != nullptr && (op % options.trace_sample) == 0;
-        endpoint->set_trace(traced ? wrec : nullptr, w);
-        const char* op_name = "op";
-        const uint64_t t0 = endpoint->clock_ns();
-        // A fresh insert claim the latest distribution's watermark waits
-        // for: acknowledged once the insert finishes, even when a crash
-        // abandons it (the key then stays an honest hole).
-        std::optional<uint64_t> open_claim;
+      // Attaches the trace hook for a submission starting at op `opno` when
+      // that op is sampled (detaches it otherwise); returns whether it did.
+      auto attach_trace = [&](uint64_t opno) {
+        const bool on = wrec != nullptr && opno % options.trace_sample == 0;
+        endpoint->set_trace(on ? wrec : nullptr, w);
+        return on;
+      };
+      // The one crash-reincarnation path: runs one submission and, when an
+      // injected crash kills the client mid-way, salvages the dead client's
+      // stats and reincarnates the worker. Returns false on a crash; ops
+      // the crash caught mid-flight are abandoned, not retried.
+      auto survive = [&](auto&& submit) {
         try {
+          submit();
+          return true;
+        } catch (const rdma::ClientCrashed&) {
+          out.client_crashes++;
+          out.net += endpoint->stats();
+          clock_carry = endpoint->clock_ns();
+          if (hook_) hook_(*index, w);
+          ++generation;
+          incarnate();
+          return false;
+        }
+      };
+
+      // Plan up to `depth` point ops -- drawing rolls, key indexes and
+      // insert-cursor claims in workload order -- submit them as one
+      // execute_batch call, then resolve outcomes in plan order. Depth 1 is
+      // a batch of one. A scan or RMW draw closes the batch and runs alone
+      // after it: scans have no batch form, and an RMW's write depends on
+      // its read. Each op's latency sample spans its submission to its own
+      // completion stamp, so in-batch queueing is measured per op.
+      const uint32_t depth = std::max<uint32_t>(1, options.pipeline_depth);
+      struct Planned {
+        uint64_t key_idx = 0;
+        bool reused = false;  // insert of a key freed by an earlier remove
+      };
+      std::vector<Planned> plan(depth);
+      std::vector<BatchOp> batch(depth);
+      // Per-slot buffers: BatchOps hold Slices, so payloads must stay put
+      // until the batch resolves. The closing scan or RMW reuses slot 0's.
+      std::vector<std::string> values(depth, std::string(spec.value_size, 'v'));
+      std::vector<std::string> read_bufs(depth);
+      std::vector<std::pair<std::string, std::string>> scan_buf;
+      enum class Solo { kNone, kScan, kRmw };
+      uint64_t op = 0;
+      while (op < options.ops_per_worker) {
+        const uint64_t budget = options.ops_per_worker - op;
+        uint32_t planned = 0;
+        Solo solo = Solo::kNone;
+        uint64_t solo_idx = 0;
+        size_t scan_len = 0;
+        while (planned < depth && planned < budget) {
           const double roll = rng.next_double();
+          if (roll >= p_remove) {
+            solo = roll >= p_rmw ? Solo::kScan : Solo::kRmw;
+            solo_idx = dist->next(rng);
+            if (solo == Solo::kScan) {
+              scan_len = 1 + rng.next_below(spec.max_scan_len);
+            }
+            break;
+          }
+          Planned& p = plan[planned];
+          BatchOp& b = batch[planned];
+          b = BatchOp{};
+          p.reused = false;
+          const uint64_t opno = op + planned;
+          std::memcpy(values[planned].data(), &opno,
+                      std::min<size_t>(8, values[planned].size()));
           if (roll < p_read) {
-            op_name = "op:read";
-            const uint64_t idx = dist->next(rng);
-            if (!index->search(keys_[idx], &read_buf)) out.misses++;
+            b.kind = BatchOp::Kind::kSearch;
+            p.key_idx = dist->next(rng);
           } else if (roll < p_update) {
-            op_name = "op:update";
-            const uint64_t idx = dist->next(rng);
-            std::memcpy(value.data(), &op, std::min<size_t>(8, value.size()));
-            if (!index->update(keys_[idx], value)) out.misses++;
+            b.kind = BatchOp::Kind::kUpdate;
+            p.key_idx = dist->next(rng);
           } else if (roll < p_insert) {
-            op_name = "op:insert";
-            bool reused = false;
-            uint64_t idx;
             if (!freed.empty()) {
               // Reinsert a key this worker removed earlier instead of
               // claiming fresh pool space: the allocation lands on the
               // freelists the removes fed, exercising recycle end to end.
-              idx = freed.back();
+              p.key_idx = freed.back();
               freed.pop_back();
-              reused = true;
+              p.reused = true;
               out.reused_key_inserts++;
             } else {
-              idx = insert_cursor_.fetch_add(1, std::memory_order_relaxed);
-              if (latest && idx < keys_.size()) open_claim = idx;
+              p.key_idx =
+                  insert_cursor_.fetch_add(1, std::memory_order_relaxed);
             }
-            if (idx >= keys_.size()) {
+            b.kind = BatchOp::Kind::kInsert;
+            if (p.key_idx >= keys_.size()) {
               // Key pool exhausted: degrade to an update so the op mix keeps
               // its write share (counted so benches can size the pool); a
               // failed fallback update is a miss like any other update's.
               out.insert_overflow++;
-              const uint64_t j = dist->next(rng);
-              std::memcpy(value.data(), &op, std::min<size_t>(8, value.size()));
-              if (!index->update(keys_[j], value)) out.misses++;
-            } else {
-              std::memcpy(value.data(), &op, std::min<size_t>(8, value.size()));
-              if (index->insert(keys_[idx], value)) {
-                owned.push_back(idx);
-                // Only successful fresh inserts become visible (a reinsert
-                // already is). A failed fresh insert leaves keys_[idx] a
-                // permanent hole: once later successes move `visible_` past
-                // idx, reads drawing it miss -- honestly.
-                if (!reused) visible_.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                out.insert_failures++;
-                // A reused key is still absent; let a later insert retry it.
-                if (reused) freed.push_back(idx);
-              }
-              if (open_claim) {
-                latest->acknowledge(*open_claim);
-                open_claim.reset();
-              }
+              b.kind = BatchOp::Kind::kUpdate;
+              p.key_idx = dist->next(rng);
             }
-          } else if (roll < p_remove) {
-            if (owned.empty()) {
-              // Nothing of ours to remove yet; keep the op count honest
-              // with a read (counted, so benches can see the warmup share).
-              out.remove_underflow++;
-              op_name = "op:read";
-              const uint64_t idx = dist->next(rng);
-              if (!index->search(keys_[idx], &read_buf)) out.misses++;
-            } else {
-              op_name = "op:remove";
-              const size_t pos = rng.next_below(owned.size());
-              const uint64_t idx = owned[pos];
-              owned[pos] = owned.back();
-              owned.pop_back();
-              out.remove_ops++;
-              if (index->remove(keys_[idx])) {
-                freed.push_back(idx);
-              } else {
-                // We believed the key live; a miss here is loss (or a
-                // degraded op under memory pressure) -- the gate trips on
-                // it in fault-free runs.
-                out.remove_misses++;
-              }
-            }
-          } else if (roll < p_rmw) {
-            op_name = "op:rmw";
-            const uint64_t idx = dist->next(rng);
-            out.rmw_ops++;
-            if (index->search(keys_[idx], &read_buf)) {
-              std::memcpy(value.data(), &op, std::min<size_t>(8, value.size()));
-              // The written value depends on the read one -- the
-              // "modify" in read-modify-write.
-              if (!read_buf.empty()) value[value.size() - 1] = read_buf[0];
-              if (!index->update(keys_[idx], value)) out.rmw_misses++;
-            } else {
-              out.rmw_misses++;
-            }
+          } else if (owned.empty()) {
+            // Remove with nothing of ours to remove yet: keep the op count
+            // honest with a read (counted, so benches see the warmup share).
+            out.remove_underflow++;
+            b.kind = BatchOp::Kind::kSearch;
+            p.key_idx = dist->next(rng);
           } else {
-            op_name = "op:scan";
-            const uint64_t idx = dist->next(rng);
-            const size_t len = 1 + rng.next_below(spec.max_scan_len);
-            const uint64_t rtts_before = endpoint->stats().round_trips;
-            out.scan_keys += index->scan(keys_[idx], len, &scan_buf);
-            out.scan_round_trips +=
-                endpoint->stats().round_trips - rtts_before;
-            out.scan_ops++;
-            if (index->last_scan_truncated()) out.scan_truncated++;
+            const size_t pos = rng.next_below(owned.size());
+            b.kind = BatchOp::Kind::kRemove;
+            p.key_idx = owned[pos];
+            owned[pos] = owned.back();
+            owned.pop_back();
           }
-        } catch (const rdma::ClientCrashed&) {
-          if (open_claim) latest->acknowledge(*open_claim);
-          out.client_crashes++;
-          out.net += endpoint->stats();
-          clock_carry = endpoint->clock_ns();
-          if (hook_) hook_(*index, w);  // salvage the dead client's stats
-          ++generation;
-          incarnate();
-          continue;  // the crashed op is abandoned, not retried
+          b.key = Slice(keys_[p.key_idx]);
+          b.value = Slice(values[planned]);
+          if (b.kind == BatchOp::Kind::kSearch) {
+            b.value_out = &read_bufs[planned];
+          }
+          planned++;
         }
-        if (traced) {
-          wrec->record(op_name, t0, endpoint->clock_ns() - t0, w);
+        if (planned > 0) {
+          const bool trace_on = attach_trace(op);
+          const uint64_t t0 = endpoint->clock_ns();
+          const bool survived =
+              survive([&] { index->execute_batch(batch.data(), planned); });
+          for (uint32_t i = 0; i < planned; ++i) {
+            const Planned& p = plan[i];
+            const BatchOp& b = batch[i];
+            // Every fresh insert claim is acknowledged once its insert is
+            // over, landed or not (reinserts are already below the
+            // watermark).
+            if (latest && b.kind == BatchOp::Kind::kInsert && !p.reused) {
+              latest->acknowledge(p.key_idx);
+            }
+            // Ops a crash caught mid-flight record no outcome and no
+            // latency sample (their fate is decided by the survivors' lock
+            // reclamation).
+            if (!b.done) continue;
+            switch (b.kind) {
+              case BatchOp::Kind::kSearch:
+              case BatchOp::Kind::kUpdate:
+                if (!b.ok) out.misses++;
+                break;
+              case BatchOp::Kind::kInsert:
+                if (b.ok) {
+                  owned.push_back(p.key_idx);
+                  // Only successful fresh inserts become visible (a
+                  // reinsert already is). A failed fresh insert leaves the
+                  // key a permanent hole: once later successes move
+                  // `visible_` past it, reads drawing it miss -- honestly.
+                  if (!p.reused) {
+                    visible_.fetch_add(1, std::memory_order_relaxed);
+                  }
+                } else {
+                  out.insert_failures++;
+                  // A reused key is still absent; a later insert retries it.
+                  if (p.reused) freed.push_back(p.key_idx);
+                }
+                break;
+              case BatchOp::Kind::kRemove:
+                out.remove_ops++;
+                if (b.ok) {
+                  freed.push_back(p.key_idx);
+                } else {
+                  // We believed the key live; a miss here is loss (or a
+                  // degraded op under memory pressure) -- the gate trips on
+                  // it in fault-free runs.
+                  out.remove_misses++;
+                }
+                break;
+            }
+            // Indexes without a virtual clock stamp 0; degrade those
+            // samples to end-of-batch (the serial-equivalent bound).
+            const uint64_t done_ns =
+                b.done_clock_ns >= t0 ? b.done_clock_ns : endpoint->clock_ns();
+            out.latency.record(done_ns - t0);
+          }
+          if (trace_on && survived) {
+            // A batch of one is a plain op and keeps its op-kind span.
+            static constexpr const char* kOpSpan[] = {
+                "op:read", "op:insert", "op:update", "op:remove"};
+            wrec->record(planned == 1
+                             ? kOpSpan[static_cast<int>(batch[0].kind)]
+                             : "op:batch",
+                         t0, endpoint->clock_ns() - t0, w);
+          }
+          op += planned;
         }
-        out.latency.record(endpoint->clock_ns() - t0);
-      }
-      } else {
-        // Pipelined mode: plan up to `pipeline_depth` point ops -- drawing
-        // rolls, key indexes and insert-cursor claims in exactly the serial
-        // order -- submit them as one execute_batch call, then resolve
-        // outcomes in plan order. A scan draw closes the current batch and
-        // runs serially after it (scans have no batch form). Each op's
-        // latency sample spans batch submit to that op's own completion
-        // stamp, so in-batch queueing is measured per op.
-        const uint32_t depth = options.pipeline_depth;
-        struct Planned {
-          BatchOp::Kind kind = BatchOp::Kind::kSearch;
-          uint64_t key_idx = 0;
-          bool reused = false;  // insert of a key freed by an earlier remove
-        };
-        std::vector<Planned> plan(depth);
-        std::vector<BatchOp> batch(depth);
-        // Per-slot buffers: BatchOps hold Slices, so payloads must stay put
-        // until the batch resolves (the serial loop's single reused buffer
-        // would alias every op in flight).
-        std::vector<std::string> values(depth);
-        std::vector<std::string> read_bufs(depth);
-        for (auto& v : values) v.assign(spec.value_size, 'v');
-        uint64_t op = 0;
-        while (op < options.ops_per_worker) {
-          const uint64_t budget = options.ops_per_worker - op;
-          uint32_t planned = 0;
-          bool have_scan = false;
-          uint64_t scan_idx = 0;
-          size_t scan_len = 0;
-          bool have_rmw = false;
-          uint64_t rmw_idx = 0;
-          while (planned < depth && planned < budget) {
-            const double roll = rng.next_double();
-            if (roll >= p_rmw) {
-              // Scan: no batch form; closes the current batch.
-              scan_idx = dist->next(rng);
-              scan_len = 1 + rng.next_below(spec.max_scan_len);
-              have_scan = true;
-              break;
-            }
-            if (roll >= p_remove) {
-              // RMW: the write leg depends on the read leg's result, so it
-              // cannot ride a fused batch either -- closes the batch and
-              // runs serially after it, like a scan.
-              rmw_idx = dist->next(rng);
-              have_rmw = true;
-              break;
-            }
-            Planned& p = plan[planned];
-            p.reused = false;
-            const uint64_t opno = op + planned;
-            if (roll < p_read) {
-              p.kind = BatchOp::Kind::kSearch;
-              p.key_idx = dist->next(rng);
-            } else if (roll < p_update) {
-              p.kind = BatchOp::Kind::kUpdate;
-              p.key_idx = dist->next(rng);
-              std::memcpy(values[planned].data(), &opno,
-                          std::min<size_t>(8, values[planned].size()));
-            } else if (roll < p_insert) {
-              uint64_t idx;
-              if (!freed.empty()) {
-                idx = freed.back();
-                freed.pop_back();
-                p.reused = true;
-                out.reused_key_inserts++;
-              } else {
-                idx = insert_cursor_.fetch_add(1, std::memory_order_relaxed);
-              }
-              std::memcpy(values[planned].data(), &opno,
-                          std::min<size_t>(8, values[planned].size()));
-              if (idx >= keys_.size()) {
-                out.insert_overflow++;
-                p.kind = BatchOp::Kind::kUpdate;
-                p.key_idx = dist->next(rng);
-                p.reused = false;
-              } else {
-                p.kind = BatchOp::Kind::kInsert;
-                p.key_idx = idx;
-              }
-            } else {
-              // Remove: claim one of this worker's live keys at plan time
-              // (exactly the serial draw order); with none to remove,
-              // degrade to a read, as the serial loop does.
-              if (owned.empty()) {
-                out.remove_underflow++;
-                p.kind = BatchOp::Kind::kSearch;
-                p.key_idx = dist->next(rng);
-              } else {
-                const size_t pos = rng.next_below(owned.size());
-                p.kind = BatchOp::Kind::kRemove;
-                p.key_idx = owned[pos];
-                owned[pos] = owned.back();
-                owned.pop_back();
-              }
-            }
-            planned++;
-          }
-          if (planned > 0) {
-            for (uint32_t i = 0; i < planned; ++i) {
-              BatchOp& b = batch[i];
-              b.kind = plan[i].kind;
-              b.key = Slice(keys_[plan[i].key_idx]);
-              b.value = Slice(values[i]);
-              b.value_out = b.kind == BatchOp::Kind::kSearch
-                                ? &read_bufs[i]
-                                : nullptr;
-              b.ok = false;
-              b.done = false;
-              b.done_clock_ns = 0;
-            }
-            const bool traced =
-                wrec != nullptr && (op % options.trace_sample) == 0;
-            endpoint->set_trace(traced ? wrec : nullptr, w);
-            const uint64_t t0 = endpoint->clock_ns();
-            bool crashed = false;
-            try {
-              index->execute_batch(batch.data(), planned);
-            } catch (const rdma::ClientCrashed&) {
-              crashed = true;
-              out.client_crashes++;
-              out.net += endpoint->stats();
-              clock_carry = endpoint->clock_ns();
-              if (hook_) hook_(*index, w);
-              ++generation;
-              incarnate();
-            }
-            for (uint32_t i = 0; i < planned; ++i) {
-              const BatchOp& b = batch[i];
-              // Every fresh insert claim is acknowledged once the batch is
-              // over, landed or not (reinserts are already below the
-              // watermark).
-              if (latest && b.kind == BatchOp::Kind::kInsert &&
-                  !plan[i].reused) {
-                latest->acknowledge(plan[i].key_idx);
-              }
-              // Ops the crash caught mid-flight are abandoned exactly like
-              // a crashed serial op: no outcome, no latency sample (their
-              // fate is decided by the survivors' lock reclamation).
-              if (!b.done) continue;
-              switch (b.kind) {
-                case BatchOp::Kind::kSearch:
-                case BatchOp::Kind::kUpdate:
-                  if (!b.ok) out.misses++;
-                  break;
-                case BatchOp::Kind::kInsert:
-                  if (b.ok) {
-                    owned.push_back(plan[i].key_idx);
-                    if (!plan[i].reused) {
-                      visible_.fetch_add(1, std::memory_order_relaxed);
-                    }
-                  } else {
-                    out.insert_failures++;
-                    if (plan[i].reused) freed.push_back(plan[i].key_idx);
-                  }
-                  break;
-                case BatchOp::Kind::kRemove:
-                  out.remove_ops++;
-                  if (b.ok) {
-                    freed.push_back(plan[i].key_idx);
-                  } else {
-                    out.remove_misses++;
-                  }
-                  break;
-              }
-              // Indexes without a virtual clock stamp 0; degrade those
-              // samples to end-of-batch (the serial-equivalent bound).
-              const uint64_t done_ns =
-                  b.done_clock_ns >= t0 ? b.done_clock_ns
-                                        : endpoint->clock_ns();
-              out.latency.record(done_ns - t0);
-            }
-            if (traced && !crashed) {
-              wrec->record("op:batch", t0, endpoint->clock_ns() - t0, w);
-            }
-            op += planned;
-          }
-          if (have_rmw) {
-            endpoint->set_trace(nullptr, w);
-            const uint64_t t0 = endpoint->clock_ns();
-            try {
+        if (solo != Solo::kNone) {
+          const bool trace_on = attach_trace(op);
+          const uint64_t t0 = endpoint->clock_ns();
+          std::string& value = values[0];
+          std::string& read_buf = read_bufs[0];
+          const bool survived = survive([&] {
+            if (solo == Solo::kRmw) {
               out.rmw_ops++;
-              if (index->search(keys_[rmw_idx], &read_buf)) {
+              if (index->search(keys_[solo_idx], &read_buf)) {
                 std::memcpy(value.data(), &op,
                             std::min<size_t>(8, value.size()));
+                // The written value depends on the read one -- the
+                // "modify" in read-modify-write.
                 if (!read_buf.empty()) value[value.size() - 1] = read_buf[0];
-                if (!index->update(keys_[rmw_idx], value)) out.rmw_misses++;
+                if (!index->update(keys_[solo_idx], value)) out.rmw_misses++;
               } else {
                 out.rmw_misses++;
               }
-              out.latency.record(endpoint->clock_ns() - t0);
-            } catch (const rdma::ClientCrashed&) {
-              out.client_crashes++;
-              out.net += endpoint->stats();
-              clock_carry = endpoint->clock_ns();
-              if (hook_) hook_(*index, w);
-              ++generation;
-              incarnate();
-            }
-            op += 1;
-          }
-          if (have_scan) {
-            endpoint->set_trace(nullptr, w);
-            const uint64_t t0 = endpoint->clock_ns();
-            try {
+            } else {
               const uint64_t rtts_before = endpoint->stats().round_trips;
-              out.scan_keys += index->scan(keys_[scan_idx], scan_len,
-                                           &scan_buf);
+              out.scan_keys +=
+                  index->scan(keys_[solo_idx], scan_len, &scan_buf);
               out.scan_round_trips +=
                   endpoint->stats().round_trips - rtts_before;
               out.scan_ops++;
               if (index->last_scan_truncated()) out.scan_truncated++;
-              out.latency.record(endpoint->clock_ns() - t0);
-            } catch (const rdma::ClientCrashed&) {
-              out.client_crashes++;
-              out.net += endpoint->stats();
-              clock_carry = endpoint->clock_ns();
-              if (hook_) hook_(*index, w);
-              ++generation;
-              incarnate();
             }
-            op += 1;
+          });
+          if (survived) {
+            out.latency.record(endpoint->clock_ns() - t0);
+            if (trace_on) {
+              wrec->record(solo == Solo::kRmw ? "op:rmw" : "op:scan", t0,
+                           endpoint->clock_ns() - t0, w);
+            }
           }
+          op += 1;
         }
       }
       out.net += endpoint->stats();

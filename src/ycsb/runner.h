@@ -49,15 +49,17 @@ struct RunOptions {
   // stats are bit-identical to an untraced run.
   rdma::TraceRecorder* trace = nullptr;
   uint32_t trace_sample = 32;
-  // Point ops kept in flight per worker. Each worker plans up to this many
-  // ops ahead -- drawing the workload stream (roll, then key index) in
-  // exactly the serial order -- and submits them as one
+  // Point ops kept in flight per worker. Each worker runs one op loop at
+  // every depth: it plans up to this many ops -- drawing the workload
+  // stream (roll, then key index) in op order -- and submits them as one
   // KvIndex::execute_batch call, letting pipelined clients fuse round
-  // trips across ops. 1 (the default) runs the pre-batching serial loop,
-  // bit-identical to releases before pipelining existed. Scans never
-  // batch: a scan draw closes the current batch and runs serially after
-  // it. With tracing on, depth > 1 records one "op:batch" span per batch
-  // instead of per-op spans.
+  // trips across ops. 1 (the default) and 0 submit batches of one, whose
+  // traffic matches the serial client's (pinned by
+  // Runner.Depth1TrafficMatchesRecordedFingerprint). A scan or RMW draw
+  // closes the current batch and runs alone after it: scans have no batch
+  // form, and an RMW's write depends on its read. With tracing on, a batch
+  // of two or more ops records one "op:batch" span; a batch of one, a scan
+  // and an RMW record their own "op:<kind>" span.
   uint32_t pipeline_depth = 1;
 };
 

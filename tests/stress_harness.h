@@ -19,12 +19,12 @@
 // test_stress.cpp by comparing fault event logs, clocks and reports).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,20 +73,22 @@ struct StressOptions {
   // 0 = disabled). The default keeps the LAC in every Sphinx stress mix so
   // the speculative-read path soaks under the same schedules as the rest.
   uint64_t lac_budget = ycsb::kAutoLacBudget;
-  // Point ops kept in flight per worker (KvIndex::execute_batch). 1 runs
-  // the serial op loop; deeper values plan a batch of ops up front and
-  // resolve every outcome -- bracket checks, oracle updates, crash
-  // resolution -- against the BatchOp done/ok contract. A second mutation
-  // of a key already mutated in the current batch is demoted to an
-  // unchecked read (batch-internal order is unspecified, so chaining two
-  // mutations of one key inside a batch has no serial oracle); scans close
-  // the batch and run serially.
+  // Point ops kept in flight per worker. Every worker plans up to this
+  // many ops, submits them as one KvIndex::execute_batch call and resolves
+  // every outcome -- bracket checks, oracle updates, crash resolution --
+  // against the BatchOp done/ok contract; 1 (and 0) submit batches of one.
+  // A second mutation of a key already mutated in the current batch is
+  // demoted to an unchecked read (batch-internal order is unspecified, so
+  // chaining two mutations of one key inside a batch has no serial
+  // oracle); scans close the batch and run alone after it.
   int pipeline_depth = 1;
-  // Serial op loop only: when > 0, every worker waits at a shared barrier
-  // before each run of `lockstep_ops` ops. Workers then interleave at least
-  // at that granularity even when host scheduling would otherwise run them
-  // one after another, so cross-worker effects (a reader's cached binding
+  // When > 0, every worker waits at a shared barrier before each run of
+  // `lockstep_ops` ops. Workers then interleave at least at that
+  // granularity even when host scheduling would otherwise run them one
+  // after another, so cross-worker effects (a reader's cached binding
   // going stale under another worker's mutation) are reliably exercised.
+  // Batches stop at each run's end, so every worker reaches every barrier
+  // at any depth.
   int lockstep_ops = 0;
 };
 
@@ -94,6 +96,11 @@ struct StressReport {
   uint64_t lin_violations = 0;         // version outside [lo, hi] / lost key
   uint64_t scan_order_violations = 0;  // scan output not strictly ascending
   uint64_t oracle_mismatches = 0;      // quiesced state != churn oracle
+  // One line per oracle mismatch: the key, its oracle state, what the
+  // verifier read, and the event that last decided the oracle's state
+  // (completed op, crash or timeout resolution) with its worker, op index
+  // and crash site.
+  std::string lost_keys;
   uint64_t failed_ops = 0;             // op the oracle says must succeed
   uint64_t total_ops = 0;
   uint64_t final_clock_ns = 0;  // sum of worker virtual clocks
@@ -182,8 +189,7 @@ class StressHarness {
       cluster_->fabric().set_fault_injector(&injector_);
     }
 
-    std::vector<std::map<std::string, std::string>> oracles(
-        static_cast<size_t>(options_.threads));
+    std::vector<ChurnOracle> oracles(static_cast<size_t>(options_.threads));
     std::atomic<uint64_t> lin_violations{0};
     std::atomic<uint64_t> scan_violations{0};
     std::atomic<uint64_t> failed_ops{0};
@@ -322,6 +328,25 @@ class StressHarness {
   // timeout), so the resolution read knows the acceptable state set.
   enum class OpKind { kNone, kLinWrite, kChurnInsert, kChurnUpdate,
                       kChurnRemove };
+  static constexpr const char* kOpKindName[] = {"read", "lin write", "insert",
+                                                "update", "remove"};
+
+  // The last event that decided a churn key's oracle state: a completed
+  // op, or the read-back resolving a crashed or timed-out one. Named in
+  // the report when the quiesced state disagrees with the oracle.
+  struct KeyEvent {
+    const char* what = "completed";
+    OpKind kind = OpKind::kNone;
+    int op = 0;
+    rdma::FaultSite site = rdma::FaultSite::kNone;  // crash resolutions
+  };
+
+  // One worker's churn stripe: the expected final state of each key it
+  // owns, and the event that last decided it.
+  struct ChurnOracle {
+    std::map<std::string, std::string> state;
+    std::map<std::string, KeyEvent> last;
+  };
 
   // Folds one retiring index client's internal counters into the harness
   // totals (called for every incarnation, including ones that crashed).
@@ -348,7 +373,7 @@ class StressHarness {
     }
   }
 
-  void worker(int t, std::map<std::string, std::string>* oracle,
+  void worker(int t, ChurnOracle* oracle,
               std::atomic<uint64_t>* lin_violations,
               std::atomic<uint64_t>* scan_violations,
               std::atomic<uint64_t>* failed_ops,
@@ -375,19 +400,30 @@ class StressHarness {
       index = setup_.make_client(static_cast<uint32_t>(t) % 3, *ep, *alloc);
     };
     incarnate();
-    // Runs `fn` to completion, reincarnating on every injected crash, for
-    // the post-crash resolution reads that must eventually succeed.
-    auto run_resilient = [&](const std::function<void()>& fn) {
-      for (;;) {
-        try {
-          fn();
-          return;
-        } catch (const rdma::ClientCrashed&) {
-          crashes_.fetch_add(1);
-          ++generation;
-          incarnate();
-        }
+    // The one crash-reincarnation path: runs one submission and, when an
+    // injected crash kills the client mid-way, hands the rest of the run to
+    // a successor and keeps the crash site for the resolution report.
+    // Returns false on a crash.
+    rdma::FaultSite crash_site = rdma::FaultSite::kNone;
+    auto survive = [&](auto&& submit) {
+      try {
+        submit();
+        return true;
+      } catch (const rdma::ClientCrashed& crash) {
+        crashes_.fetch_add(1);
+        crash_site = crash.site;
+        ++generation;
+        incarnate();
+        return false;
       }
+    };
+    // Post-crash resolution reads must eventually succeed: each one is
+    // retried through every crash that cuts it.
+    auto read_back = [&](const std::string& key, std::string* cur) {
+      bool found = false;
+      while (!survive([&] { found = index->search(key, cur); })) {
+      }
+      return found;
     };
     // A crashed op's outcome is frozen at the crash point: either it
     // linearized or it did not, and nothing retries it. Reading the key
@@ -396,9 +432,7 @@ class StressHarness {
     auto resolve_lin_write = [&](size_t slot, const std::string& key,
                                  int64_t ver) {
       std::string cur;
-      bool found = false;
-      run_resilient([&] { found = index->search(key, &cur); });
-      if (!found) {
+      if (!read_back(key, &cur)) {
         (*lin_violations)++;  // lin keys are never removed
         return;
       }
@@ -415,8 +449,7 @@ class StressHarness {
     auto resolve_churn = [&](OpKind kind, const std::string& key,
                              const std::string& value, const std::string& old) {
       std::string cur;
-      bool found = false;
-      run_resilient([&] { found = index->search(key, &cur); });
+      const bool found = read_back(key, &cur);
       bool ok = false;
       switch (kind) {
         case OpKind::kChurnInsert:
@@ -433,340 +466,231 @@ class StressHarness {
       }
       if (!ok) crash_resolve_violations_.fetch_add(1);
       if (found) {
-        (*oracle)[key] = cur;
+        oracle->state[key] = cur;
       } else {
-        oracle->erase(key);
+        oracle->state.erase(key);
       }
     };
 
     Rng rng(options_.seed * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(t));
-
     std::vector<int64_t> my_version(
         static_cast<size_t>(options_.lin_keys_per_thread), 0);
-    std::string v;
     std::vector<std::pair<std::string, std::string>> scan_out;
 
-    if (options_.pipeline_depth <= 1) {
-    for (int op = 0; op < options_.ops_per_thread; ++op) {
-      if (options_.lockstep_ops > 0 && op % options_.lockstep_ops == 0) {
-        lockstep->arrive_and_wait();
+    // Plan a batch of point ops locally (publishing started_ for lin writes
+    // at plan time -- the bracket [lo-at-plan, hi-after-batch] is a
+    // superset of each op's own interval, so the linearizability check
+    // stays sound), submit one execute_batch call, then resolve every
+    // outcome in plan order. Depth 1 is a batch of one. Ops a crash left
+    // with done == false resolve by reading the key back. A scan draw
+    // closes the batch and runs alone after it.
+    struct Planned {
+      OpKind kind = OpKind::kNone;  // mutation class, for resolution
+      bool lin_checked = false;     // lin read with bracket check
+      size_t slot = 0;
+      int64_t lo = 0;    // lin read: completed_ observed at plan time
+      int64_t ver = 0;   // lin write version
+      std::string key;
+      std::string value;  // attempted value (insert/update)
+      std::string old;    // previous oracle value (update/remove)
+    };
+    const size_t depth =
+        static_cast<size_t>(std::max(1, options_.pipeline_depth));
+    std::vector<Planned> plan(depth);
+    std::vector<BatchOp> batch(depth);
+    std::vector<std::string> read_bufs(depth);
+    std::set<std::string> batch_muts;  // keys already mutated this batch
+    int op = 0;
+    while (op < options_.ops_per_thread) {
+      // A batch never straddles a lockstep boundary, so every worker stops
+      // at each boundary and waits there the same number of times.
+      int limit = options_.ops_per_thread;
+      if (options_.lockstep_ops > 0) {
+        const int round = op / options_.lockstep_ops;
+        if (op % options_.lockstep_ops == 0) lockstep->arrive_and_wait();
+        limit = std::min(limit, (round + 1) * options_.lockstep_ops);
       }
-      const uint64_t r = rng.next_below(100);
-      OpKind op_kind = OpKind::kNone;
-      size_t op_slot = 0;
-      std::string op_key;
-      int64_t op_ver = 0;
-      std::string op_value;  // attempted value (insert/update)
-      std::string op_old;    // previous oracle value (update/remove)
-      try {
-      if (r < 35) {
-        // Lin read of anyone's key, with the bracket check.
-        const int ot = static_cast<int>(rng.next_below(
-            static_cast<uint64_t>(options_.threads)));
-        const int oi = static_cast<int>(rng.next_below(
-            static_cast<uint64_t>(options_.lin_keys_per_thread)));
-        const size_t slot = lin_slot(ot, oi);
-        const int64_t lo = completed_[slot].load();
-        const bool found = index->search(lin_key(ot, oi), &v);
-        const int64_t hi = started_[slot].load();
-        if (!found) {
-          (*lin_violations)++;  // lin keys are never removed
-        } else {
-          const int64_t ver = parse_lin_version(v);
-          if (ver < lo || ver > hi) (*lin_violations)++;
+      size_t planned = 0;
+      bool have_scan = false;
+      int scan_t = 0;
+      batch_muts.clear();
+      while (planned < depth && op + static_cast<int>(planned) < limit) {
+        const uint64_t r = rng.next_below(100);
+        Planned& p = plan[planned];
+        p = Planned{};
+        BatchOp& b = batch[planned];
+        b = BatchOp{};
+        if (r >= 90) {
+          // Scan from a random lin key: keys must come back strictly
+          // ascending no matter what is in flight.
+          scan_t = static_cast<int>(rng.next_below(
+              static_cast<uint64_t>(options_.threads)));
+          have_scan = true;
+          break;
         }
-      } else if (r < 50) {
-        // Lin write: bump the version of one of my keys.
-        const int i = static_cast<int>(rng.next_below(
-            static_cast<uint64_t>(options_.lin_keys_per_thread)));
-        const size_t slot = lin_slot(t, i);
-        const int64_t ver = ++my_version[static_cast<size_t>(i)];
-        op_kind = OpKind::kLinWrite;
-        op_slot = slot;
-        op_key = lin_key(t, i);
-        op_ver = ver;
-        started_[slot].store(ver);
-        if (index->update(lin_key(t, i), lin_value(ver))) {
-          completed_[slot].store(ver);
-        } else if (options_.crash_rate > 0.0) {
-          // Bounded retries may honestly give up while a dead client's
-          // lease runs out; like a crash, the outcome is unknown and must
-          // resolve to exactly the old or the new state.
-          crash_timeouts_.fetch_add(1);
-          resolve_lin_write(slot, op_key, ver);
-        } else {
-          (*failed_ops)++;  // the key exists; update must succeed
-        }
-      } else if (r < 80) {
-        // Churn on my own stripe, mirrored in the oracle.
-        const int i = static_cast<int>(rng.next_below(
-            static_cast<uint64_t>(options_.churn_keys_per_thread)));
-        const std::string k = churn_key(t, i);
-        auto it = oracle->find(k);
-        op_key = k;
-        if (it == oracle->end()) {
-          const std::string value = "c:" + std::to_string(op);
-          op_kind = OpKind::kChurnInsert;
-          op_value = value;
-          if (index->insert(k, value)) {
-            (*oracle)[k] = value;
-          } else if (options_.crash_rate > 0.0) {
-            crash_timeouts_.fetch_add(1);
-            resolve_churn(op_kind, k, op_value, op_old);
-          } else {
-            (*failed_ops)++;
+        if (r < 35) {
+          // Lin read of anyone's key, with the bracket check.
+          const int ot = static_cast<int>(rng.next_below(
+              static_cast<uint64_t>(options_.threads)));
+          const int oi = static_cast<int>(rng.next_below(
+              static_cast<uint64_t>(options_.lin_keys_per_thread)));
+          p.lin_checked = true;
+          p.slot = lin_slot(ot, oi);
+          p.lo = completed_[p.slot].load();
+          p.key = lin_key(ot, oi);
+        } else if (r < 50) {
+          // Lin write: bump the version of one of my keys.
+          const int i = static_cast<int>(rng.next_below(
+              static_cast<uint64_t>(options_.lin_keys_per_thread)));
+          p.key = lin_key(t, i);
+          // A key already mutated in this batch demotes to an unchecked
+          // read: batch-internal order is unspecified, so two mutations of
+          // one key inside a batch have no oracle.
+          if (batch_muts.insert(p.key).second) {
+            const int64_t ver = ++my_version[static_cast<size_t>(i)];
+            b.kind = BatchOp::Kind::kUpdate;
+            p.kind = OpKind::kLinWrite;
+            p.slot = lin_slot(t, i);
+            p.ver = ver;
+            p.value = lin_value(ver);
+            started_[p.slot].store(ver);
           }
-        } else if (rng.next_below(3) == 0) {
-          op_kind = OpKind::kChurnRemove;
-          op_old = it->second;
-          if (index->remove(k)) {
-            oracle->erase(it);
-          } else if (options_.crash_rate > 0.0) {
-            crash_timeouts_.fetch_add(1);
-            resolve_churn(op_kind, k, op_value, op_old);
-          } else {
-            (*failed_ops)++;
+        } else if (r < 80) {
+          // Churn on my own stripe, mirrored in the oracle.
+          const int i = static_cast<int>(rng.next_below(
+              static_cast<uint64_t>(options_.churn_keys_per_thread)));
+          p.key = churn_key(t, i);
+          if (batch_muts.insert(p.key).second) {
+            auto it = oracle->state.find(p.key);
+            const std::string value =
+                "c:" + std::to_string(op + static_cast<int>(planned));
+            if (it == oracle->state.end()) {
+              b.kind = BatchOp::Kind::kInsert;
+              p.kind = OpKind::kChurnInsert;
+              p.value = value;
+            } else if (rng.next_below(3) == 0) {
+              b.kind = BatchOp::Kind::kRemove;
+              p.kind = OpKind::kChurnRemove;
+              p.old = it->second;
+            } else {
+              b.kind = BatchOp::Kind::kUpdate;
+              p.kind = OpKind::kChurnUpdate;
+              p.value = value;
+              p.old = it->second;
+            }
           }
         } else {
-          const std::string value = "c:" + std::to_string(op);
-          op_kind = OpKind::kChurnUpdate;
-          op_value = value;
-          op_old = it->second;
-          if (index->update(k, value)) {
-            it->second = value;
-          } else if (options_.crash_rate > 0.0) {
-            crash_timeouts_.fetch_add(1);
-            resolve_churn(op_kind, k, op_value, op_old);
-          } else {
-            (*failed_ops)++;
-          }
+          // Cross-stripe read: result races with the owner; no assertion.
+          const int ot = static_cast<int>(rng.next_below(
+              static_cast<uint64_t>(options_.threads)));
+          const int oi = static_cast<int>(rng.next_below(
+              static_cast<uint64_t>(options_.churn_keys_per_thread)));
+          p.key = churn_key(ot, oi);
         }
-      } else if (r < 90) {
-        // Cross-stripe read: result races with the owner; no assertion.
-        const int ot = static_cast<int>(rng.next_below(
-            static_cast<uint64_t>(options_.threads)));
-        const int oi = static_cast<int>(rng.next_below(
-            static_cast<uint64_t>(options_.churn_keys_per_thread)));
-        index->search(churn_key(ot, oi), &v);
-      } else {
-        // Scan from a random lin key: keys must come back strictly
-        // ascending no matter what is in flight.
-        const int ot = static_cast<int>(rng.next_below(
-            static_cast<uint64_t>(options_.threads)));
-        scan_out.clear();
-        index->scan(lin_key(ot, 0), 16, &scan_out);
-        for (size_t j = 1; j < scan_out.size(); ++j) {
-          if (scan_out[j - 1].first >= scan_out[j].first) {
-            (*scan_violations)++;
-          }
-        }
+        // BatchOps carry Slices: set them once the planned key and value
+        // strings are final.
+        b.key = Slice(p.key);
+        b.value = Slice(p.value);
+        if (b.kind == BatchOp::Kind::kSearch) b.value_out = &read_bufs[planned];
+        planned++;
       }
-      } catch (const rdma::ClientCrashed&) {
-        crashes_.fetch_add(1);
-        ++generation;
-        incarnate();
-        // The crashed op is never retried; its fate was sealed at the crash
-        // point. Reads carry no state, but a crashed mutation must have
-        // either fully linearized or not happened at all -- read the key
-        // back (reclaiming any lock the dead client orphaned on it) and
-        // check the observed state against the acceptable set.
-        if (op_kind == OpKind::kLinWrite) {
-          resolve_lin_write(op_slot, op_key, op_ver);
-        } else if (op_kind != OpKind::kNone) {
-          resolve_churn(op_kind, op_key, op_value, op_old);
-        }
-      }
-    }
-    } else {
-      // Pipelined mode: plan a batch of point ops locally (publishing
-      // started_ for lin writes at plan time -- the bracket [lo-at-plan,
-      // hi-after-batch] is a superset of the serial interval, so the
-      // linearizability check stays sound), submit one execute_batch call,
-      // then resolve every outcome in plan order. Ops the crash left with
-      // done == false resolve through the same read-back machinery as a
-      // crashed serial op.
-      struct Planned {
-        BatchOp::Kind bkind = BatchOp::Kind::kSearch;
-        OpKind kind = OpKind::kNone;  // mutation class, for resolution
-        bool lin_checked = false;     // lin read with bracket check
-        size_t slot = 0;
-        int64_t lo = 0;    // lin read: completed_ observed at plan time
-        int64_t ver = 0;   // lin write version
-        std::string key;
-        std::string value;  // attempted value (insert/update)
-        std::string old;    // previous oracle value (update/remove)
-      };
-      const size_t depth = static_cast<size_t>(options_.pipeline_depth);
-      std::vector<Planned> plan(depth);
-      std::vector<BatchOp> batch(depth);
-      std::vector<std::string> read_bufs(depth);
-      std::set<std::string> batch_muts;  // keys already mutated this batch
-      int op = 0;
-      while (op < options_.ops_per_thread) {
-        size_t planned = 0;
-        bool have_scan = false;
-        int scan_t = 0;
-        batch_muts.clear();
-        while (planned < depth &&
-               op + static_cast<int>(planned) < options_.ops_per_thread) {
-          const uint64_t r = rng.next_below(100);
-          Planned& p = plan[planned];
-          p = Planned{};
-          if (r >= 90) {
-            scan_t = static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(options_.threads)));
-            have_scan = true;
-            break;  // scans have no batch form: close and run serially
-          }
-          if (r < 35) {
-            const int ot = static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(options_.threads)));
-            const int oi = static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(options_.lin_keys_per_thread)));
-            p.lin_checked = true;
-            p.slot = lin_slot(ot, oi);
-            p.lo = completed_[p.slot].load();
-            p.key = lin_key(ot, oi);
-          } else if (r < 50) {
-            const int i = static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(options_.lin_keys_per_thread)));
-            p.key = lin_key(t, i);
-            if (batch_muts.count(p.key) != 0) {
-              // demoted: already mutated in this batch (unchecked read)
-            } else {
-              batch_muts.insert(p.key);
-              const int64_t ver = ++my_version[static_cast<size_t>(i)];
-              p.bkind = BatchOp::Kind::kUpdate;
-              p.kind = OpKind::kLinWrite;
-              p.slot = lin_slot(t, i);
-              p.ver = ver;
-              p.value = lin_value(ver);
-              started_[p.slot].store(ver);
-            }
-          } else if (r < 80) {
-            const int i = static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(options_.churn_keys_per_thread)));
-            p.key = churn_key(t, i);
-            if (batch_muts.count(p.key) != 0) {
-              // demoted: already mutated in this batch (unchecked read)
-            } else {
-              auto it = oracle->find(p.key);
-              if (it == oracle->end()) {
-                p.bkind = BatchOp::Kind::kInsert;
-                p.kind = OpKind::kChurnInsert;
-                p.value = "c:" + std::to_string(op + static_cast<int>(planned));
-              } else if (rng.next_below(3) == 0) {
-                p.bkind = BatchOp::Kind::kRemove;
-                p.kind = OpKind::kChurnRemove;
-                p.old = it->second;
+      if (planned > 0) {
+        survive([&] { index->execute_batch(batch.data(), planned); });
+        // The batch's crash site, kept before a read-back below crashes.
+        const rdma::FaultSite site = crash_site;
+        for (size_t i = 0; i < planned; ++i) {
+          const Planned& p = plan[i];
+          const BatchOp& b = batch[i];
+          if (p.kind == OpKind::kNone) {
+            // Reads abandoned by a crash carry no state to resolve.
+            if (b.done && p.lin_checked) {
+              const int64_t hi = started_[p.slot].load();
+              if (!b.ok) {
+                (*lin_violations)++;  // lin keys are never removed
               } else {
-                p.bkind = BatchOp::Kind::kUpdate;
-                p.kind = OpKind::kChurnUpdate;
-                p.value = "c:" + std::to_string(op + static_cast<int>(planned));
-                p.old = it->second;
+                const int64_t ver = parse_lin_version(read_bufs[i]);
+                if (ver < p.lo || ver > hi) (*lin_violations)++;
               }
-              batch_muts.insert(p.key);
+            }
+          } else if (p.kind == OpKind::kLinWrite) {
+            if (!b.done) {
+              resolve_lin_write(p.slot, p.key, p.ver);
+            } else if (b.ok) {
+              completed_[p.slot].store(p.ver);
+            } else if (options_.crash_rate > 0.0) {
+              // Bounded retries may honestly give up while a dead client's
+              // lease runs out; like a crash, the outcome is unknown and
+              // must resolve to exactly the old or the new state.
+              crash_timeouts_.fetch_add(1);
+              resolve_lin_write(p.slot, p.key, p.ver);
+            } else {
+              (*failed_ops)++;  // the key exists; update must succeed
             }
           } else {
-            const int ot = static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(options_.threads)));
-            const int oi = static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(options_.churn_keys_per_thread)));
-            p.key = churn_key(ot, oi);  // cross-stripe unchecked read
-          }
-          planned++;
-        }
-        if (planned > 0) {
-          // BatchOps carry Slices: build them only now, with every planned
-          // key/value string in its final resting place.
-          for (size_t i = 0; i < planned; ++i) {
-            BatchOp& b = batch[i];
-            b.kind = plan[i].bkind;
-            b.key = Slice(plan[i].key);
-            b.value = Slice(plan[i].value);
-            b.value_out = b.kind == BatchOp::Kind::kSearch
-                              ? &read_bufs[i]
-                              : nullptr;
-            b.ok = false;
-            b.done = false;
-            b.done_clock_ns = 0;
-          }
-          try {
-            index->execute_batch(batch.data(), planned);
-          } catch (const rdma::ClientCrashed&) {
-            crashes_.fetch_add(1);
-            ++generation;
-            incarnate();
-          }
-          for (size_t i = 0; i < planned; ++i) {
-            const Planned& p = plan[i];
-            const BatchOp& b = batch[i];
-            if (p.kind == OpKind::kNone) {
-              // Reads abandoned by a crash carry no state to resolve.
-              if (b.done && p.lin_checked) {
-                const int64_t hi = started_[p.slot].load();
-                if (!b.ok) {
-                  (*lin_violations)++;  // lin keys are never removed
-                } else {
-                  const int64_t ver = parse_lin_version(read_bufs[i]);
-                  if (ver < p.lo || ver > hi) (*lin_violations)++;
-                }
-              }
-            } else if (p.kind == OpKind::kLinWrite) {
-              if (!b.done) {
-                resolve_lin_write(p.slot, p.key, p.ver);
-              } else if (b.ok) {
-                completed_[p.slot].store(p.ver);
-              } else if (options_.crash_rate > 0.0) {
-                crash_timeouts_.fetch_add(1);
-                resolve_lin_write(p.slot, p.key, p.ver);
+            KeyEvent& ev = oracle->last[p.key];
+            ev = KeyEvent{"completed", p.kind, op + static_cast<int>(i)};
+            if (!b.done) {
+              ev.what = "crash resolution";
+              ev.site = site;
+              resolve_churn(p.kind, p.key, p.value, p.old);
+            } else if (b.ok) {
+              if (p.kind == OpKind::kChurnRemove) {
+                oracle->state.erase(p.key);
               } else {
-                (*failed_ops)++;  // the key exists; update must succeed
+                oracle->state[p.key] = p.value;
               }
+            } else if (options_.crash_rate > 0.0) {
+              ev.what = "timeout resolution";
+              crash_timeouts_.fetch_add(1);
+              resolve_churn(p.kind, p.key, p.value, p.old);
             } else {
-              if (!b.done) {
-                resolve_churn(p.kind, p.key, p.value, p.old);
-              } else if (b.ok) {
-                if (p.kind == OpKind::kChurnRemove) {
-                  oracle->erase(p.key);
-                } else {
-                  (*oracle)[p.key] = p.value;
-                }
-              } else if (options_.crash_rate > 0.0) {
-                crash_timeouts_.fetch_add(1);
-                resolve_churn(p.kind, p.key, p.value, p.old);
-              } else {
-                (*failed_ops)++;
-              }
+              ev.what = "failed";
+              (*failed_ops)++;
             }
           }
-          op += static_cast<int>(planned);
         }
-        if (have_scan) {
-          try {
-            scan_out.clear();
-            index->scan(lin_key(scan_t, 0), 16, &scan_out);
-            for (size_t j = 1; j < scan_out.size(); ++j) {
-              if (scan_out[j - 1].first >= scan_out[j].first) {
-                (*scan_violations)++;
-              }
+        op += static_cast<int>(planned);
+      }
+      if (have_scan) {
+        survive([&] {
+          scan_out.clear();
+          index->scan(lin_key(scan_t, 0), 16, &scan_out);
+          for (size_t j = 1; j < scan_out.size(); ++j) {
+            if (scan_out[j - 1].first >= scan_out[j].first) {
+              (*scan_violations)++;
             }
-          } catch (const rdma::ClientCrashed&) {
-            crashes_.fetch_add(1);
-            ++generation;
-            incarnate();
           }
-          op += 1;
-        }
+        });
+        op += 1;
       }
     }
     clock_sum->fetch_add(ep->clock_ns());
     salvage_client_stats(index.get());
   }
 
-  void verify_quiesced(
-      const std::vector<std::map<std::string, std::string>>& oracles,
-      StressReport* report) {
+  // One report line per churn key whose quiesced state disagrees with
+  // its oracle: both states and the event that last decided the oracle's.
+  static std::string describe_mismatch(const std::string& key, int owner,
+                                       const ChurnOracle& oracle,
+                                       bool found, const std::string& read) {
+    auto it = oracle.state.find(key);
+    std::string line = key + ": oracle=" +
+                       (it == oracle.state.end() ? "absent" : it->second) +
+                       " read=" + (found ? read : "absent") + " last=";
+    auto ev = oracle.last.find(key);
+    if (ev == oracle.last.end()) return line + "none\n";
+    line += std::string(ev->second.what) + " " +
+            kOpKindName[static_cast<int>(ev->second.kind)] + " by worker " +
+            std::to_string(owner) + " at op " + std::to_string(ev->second.op);
+    if (ev->second.site != rdma::FaultSite::kNone) {
+      line += " (crash site " +
+              std::to_string(static_cast<int>(ev->second.site)) + ")";
+    }
+    return line + "\n";
+  }
+
+  void verify_quiesced(const std::vector<ChurnOracle>& oracles,
+                       StressReport* report) {
     rdma::Endpoint ep(cluster_->fabric(), 0, true);
     mem::RemoteAllocator alloc(*cluster_, ep);
     auto verifier = setup_.make_client(0, ep, alloc);
@@ -786,15 +710,15 @@ class StressHarness {
 
     // Churn stripes must match their oracles exactly (both directions).
     for (int t = 0; t < options_.threads; ++t) {
-      const auto& oracle = oracles[static_cast<size_t>(t)];
+      const ChurnOracle& oracle = oracles[static_cast<size_t>(t)];
       for (int i = 0; i < options_.churn_keys_per_thread; ++i) {
         const std::string k = churn_key(t, i);
         const bool found = verifier->search(k, &v);
-        auto it = oracle.find(k);
-        if (it == oracle.end()) {
-          if (found) report->oracle_mismatches++;
-        } else if (!found || v != it->second) {
+        auto it = oracle.state.find(k);
+        const bool want = it != oracle.state.end();
+        if (found != want || (found && v != it->second)) {
           report->oracle_mismatches++;
+          report->lost_keys += describe_mismatch(k, t, oracle, found, v);
         }
       }
     }

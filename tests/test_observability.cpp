@@ -9,6 +9,8 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "core/sphinx_index.h"
@@ -730,6 +732,58 @@ TEST(Trace, TracingChangesNoStatsOrClocks) {
   }
   EXPECT_TRUE(saw_op);
   EXPECT_TRUE(saw_phase);
+}
+
+TEST(Trace, ScansAndRmwsGetOpSpansAtEveryDepth) {
+  // Scans and RMWs run through the same client loop as point ops at every
+  // depth, trace hook attached: with every op sampled, each scan and each
+  // RMW records its own op span, and every round-trip span lies inside an
+  // op span of its worker.
+  const auto keys = ycsb::generate_u64_keys(3000, 1);
+  for (const char workload : {'E', 'F'}) {
+    for (const uint32_t depth : {1u, 8u}) {
+      SCOPED_TRACE(std::string("YCSB-") + workload + " depth " +
+                   std::to_string(depth));
+      auto cluster = testing::make_test_cluster(64ull << 20);
+      ycsb::SystemSetup setup(ycsb::SystemKind::kSphinx, *cluster, 1 << 20);
+      ycsb::YcsbRunner runner(*cluster, setup.factory(), keys);
+      runner.load(2000, 64, /*workers=*/1);
+      rdma::TraceRecorder rec;
+      ycsb::RunOptions options;
+      options.workers = 2;
+      options.ops_per_worker = 120;
+      options.pipeline_depth = depth;
+      options.trace = &rec;
+      options.trace_sample = 1;
+      const ycsb::RunResult r =
+          runner.run(ycsb::standard_workload(workload), options);
+      ASSERT_EQ(rec.dropped(), 0u);
+
+      uint64_t scan_spans = 0;
+      uint64_t rmw_spans = 0;
+      std::vector<rdma::TraceEvent> ops;
+      for (const rdma::TraceEvent& e : rec.events()) {
+        const std::string name(e.name);
+        if (name.rfind("op", 0) != 0) continue;
+        ops.push_back(e);
+        if (name == "op:scan") scan_spans++;
+        if (name == "op:rmw") rmw_spans++;
+      }
+      EXPECT_EQ(scan_spans, r.scan_ops);
+      EXPECT_EQ(rmw_spans, r.rmw_ops);
+      EXPECT_GT(scan_spans + rmw_spans, 0u);
+      for (const rdma::TraceEvent& e : rec.events()) {
+        if (std::string(e.name).rfind("op", 0) == 0) continue;
+        const bool inside = std::any_of(
+            ops.begin(), ops.end(), [&](const rdma::TraceEvent& op) {
+              return op.tid == e.tid && op.ts_ns <= e.ts_ns &&
+                     e.ts_ns + e.dur_ns <= op.ts_ns + op.dur_ns;
+            });
+        EXPECT_TRUE(inside) << e.name << " at " << e.ts_ns << " ns, worker "
+                            << e.tid << ", lies outside every op span";
+      }
+    }
+  }
 }
 
 // ---- metrics registry -----------------------------------------------------------

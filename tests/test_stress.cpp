@@ -19,7 +19,7 @@ using testing::StressReport;
 void expect_clean(const StressReport& report) {
   EXPECT_EQ(report.lin_violations, 0u);
   EXPECT_EQ(report.scan_order_violations, 0u);
-  EXPECT_EQ(report.oracle_mismatches, 0u);
+  EXPECT_EQ(report.oracle_mismatches, 0u) << report.lost_keys;
   EXPECT_EQ(report.failed_ops, 0u);
   EXPECT_EQ(report.crash_resolve_violations, 0u);
   // A speculative leaf read may be wasted, never wrong: nonzero means the
@@ -356,6 +356,18 @@ TEST(Stress, PipelinedSphinxMissPathUnderChurnAndFaults) {
   EXPECT_EQ(report.lac_hits, 0u);
   EXPECT_GT(report.batch_shared_ops, 0u);
   EXPECT_GT(report.client_crashes, 0u);
+}
+
+TEST(Stress, PipelinedLockstepReachesEveryBarrier) {
+  // Lockstep rounds at depth 8: a batch stops at the end of its round, so
+  // every worker arrives at every barrier and the run cannot deadlock,
+  // whatever mix of batch sizes and scans each worker draws.
+  StressOptions options = base_options(ycsb::SystemKind::kSphinx);
+  options.threads = 4;
+  options.ops_per_thread = 600;
+  options.pipeline_depth = 8;
+  options.lockstep_ops = 25;
+  expect_clean(run_stress(options));
 }
 
 TEST(Stress, PipelinedBaselinesStayCleanOnSerialFallback) {

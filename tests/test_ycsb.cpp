@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -200,11 +201,13 @@ TEST(Runner, DeterministicAcrossRuns) {
 // ---- pipelined client -----------------------------------------------------------
 
 TEST(Runner, PipelineDepth1IsBitIdenticalToSerialDefault) {
-  // --pipeline-depth=1 must be the pre-pipelining client bit for bit: a
-  // default-options run (what every pre-existing caller does) and an
-  // explicit depth-1 run take the identical serial loop, so fixed-seed
-  // runs agree on every round trip, byte, message and derived figure.
-  auto make_result = [](uint32_t depth) {
+  // A default-options run (what every pre-existing caller does), an
+  // explicit --pipeline-depth=1 run and a depth-0 run (which must not plan
+  // zero ops forever) all submit batches of one through the runner's
+  // single op loop, so fixed-seed runs agree on every round trip, byte,
+  // message and derived figure. Depth-1 traffic itself is pinned against
+  // recorded values by Runner.Depth1TrafficMatchesRecordedFingerprint.
+  auto make_result = [](std::optional<uint32_t> depth) {
     auto cluster = testing::make_test_cluster();
     SystemSetup setup(SystemKind::kSphinx, *cluster);
     YcsbRunner runner(*cluster, setup.factory(), generate_u64_keys(5000, 9));
@@ -213,24 +216,29 @@ TEST(Runner, PipelineDepth1IsBitIdenticalToSerialDefault) {
     options.workers = 1;
     options.ops_per_worker = 400;
     options.seed = 11;
-    if (depth > 0) options.pipeline_depth = depth;
+    if (depth) options.pipeline_depth = *depth;
     return runner.run(standard_workload('A'), options);
   };
-  const RunResult def = make_result(0);  // default options, depth untouched
-  const RunResult d1 = make_result(1);   // explicit --pipeline-depth=1
-  EXPECT_EQ(def.net.round_trips, d1.net.round_trips);
-  EXPECT_EQ(def.net.bytes_read, d1.net.bytes_read);
-  EXPECT_EQ(def.net.bytes_written, d1.net.bytes_written);
-  EXPECT_EQ(def.net.messages, d1.net.messages);
-  EXPECT_EQ(def.misses, d1.misses);
-  EXPECT_DOUBLE_EQ(def.ops_per_sec, d1.ops_per_sec);
-  EXPECT_DOUBLE_EQ(def.mean_latency_ns, d1.mean_latency_ns);
+  const RunResult def = make_result(std::nullopt);  // depth untouched
+  for (const uint32_t depth : {1u, 0u}) {
+    const RunResult d = make_result(depth);
+    EXPECT_EQ(d.latency.count(), 400u) << "depth " << depth;
+    EXPECT_EQ(def.net.round_trips, d.net.round_trips) << "depth " << depth;
+    EXPECT_EQ(def.net.bytes_read, d.net.bytes_read) << "depth " << depth;
+    EXPECT_EQ(def.net.bytes_written, d.net.bytes_written) << "depth " << depth;
+    EXPECT_EQ(def.net.messages, d.net.messages) << "depth " << depth;
+    EXPECT_EQ(def.misses, d.misses) << "depth " << depth;
+    EXPECT_DOUBLE_EQ(def.ops_per_sec, d.ops_per_sec) << "depth " << depth;
+    EXPECT_DOUBLE_EQ(def.mean_latency_ns, d.mean_latency_ns)
+        << "depth " << depth;
+  }
 }
 
 // Depth-1 traffic fingerprint: one worker, one loader and a fixed seed
 // make every run below deterministic, so its traffic and counters are
 // pinned exactly. The golden lines were recorded before the staged search
-// engine existed; the serial client's depth-1 traffic must not move.
+// engine existed (the E lines before depth 1 became a batch of one);
+// depth-1 traffic must not move.
 struct FingerprintCase {
   const char* name;
   SystemKind kind;

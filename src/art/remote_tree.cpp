@@ -89,6 +89,11 @@ RemoteTree::Descent& RemoteTree::descend(const TerminatedKey& key,
   // operations) keeps the per-op hot path allocation- and memcpy-free.
   Descent& d = descent_;
   begin_descent(d);
+  // Only a walk lock on a full start node outlives its descent, and that
+  // insert retries from the root.
+  assert(insert_op_.walk_held == WalkLock::kNone || !allow_custom_start);
+  // A start node whose slot for the key is taken releases its walk lock in
+  // the doorbell of the descent's next read, the child's or the leaf's.
   if (allow_custom_start && find_start(key, &d.path.back())) {
     d.from_custom_start = true;
   } else {
@@ -109,7 +114,10 @@ RemoteTree::Descent& RemoteTree::descend(const TerminatedKey& key,
         return d;
       case DescendStep::kFetchInner: {
         PathEntry& child = d.path.back();
-        if (!fetch_inner(child.addr, child_type(d), &child.image)) {
+        const NodeType type = child_type(d);
+        if (!read_releasing_walk_lock(child.addr, child.image.raw(),
+                                      inner_node_bytes(type)) &&
+            !fetch_inner(child.addr, type, &child.image)) {
           d.path.pop_back();
           d.status = DescendStatus::kNeedRetry;
           return d;
@@ -120,8 +128,11 @@ RemoteTree::Descent& RemoteTree::descend(const TerminatedKey& key,
       case DescendStep::kReadLeaf: {
         rdma::PhaseScope leaf_scope(endpoint_, rdma::Phase::kLeafRead);
         for (uint32_t reads = 1;; ++reads) {
-          endpoint_.read(d.leaf_addr, d.leaf.buf().data(),
-                         d.leaf.buf().size());
+          if (!read_releasing_walk_lock(d.leaf_addr, d.leaf.buf().data(),
+                                        d.leaf.buf().size())) {
+            endpoint_.read(d.leaf_addr, d.leaf.buf().data(),
+                           d.leaf.buf().size());
+          }
           if (leaf_landed(key, d, reads)) return d;
         }
       }
@@ -353,6 +364,26 @@ bool RemoteTree::insert(Slice key, Slice value) {
   assert(leaf_units_for(tkey.size(), static_cast<uint32_t>(value.size())) <
          64);
   alloc_failed_ = false;
+  InsertOp& op = insert_op_;
+  op.key = &tkey;
+  op.value = value;
+  op.leaf.ok = false;
+  const bool linked = insert_attempts(tkey);
+  if (op.walk_held != WalkLock::kNone) {
+    // A full start node whose type switch never ran: the retry budget ran
+    // out, or the op was abandoned for lack of memory.
+    op.walk_held = WalkLock::kNone;
+    unlock_node(op.walk);
+  }
+  if (op.leaf.ok && !linked) {
+    allocator_.free(op.leaf.addr, op.leaf.units * kLeafUnitBytes,
+                    mem::AllocTag::kLeaf);
+  }
+  op.key = nullptr;
+  return linked;
+}
+
+bool RemoteTree::insert_attempts(const TerminatedKey& tkey) {
   bool allow_custom = true;
   rdma::RetryPolicy policy(endpoint_, config_.retry, &stats_.backoff);
   for (uint32_t r = 0;; ++r) {
@@ -362,7 +393,7 @@ bool RemoteTree::insert(Slice key, Slice value) {
       case DescendStatus::kFoundLeaf:
         return false;  // key exists; no modification
       case DescendStatus::kFoundInvalidLeaf:
-        if (insert_replace_invalid_leaf(tkey, value, d)) return true;
+        if (insert_replace_invalid_leaf(tkey, d)) return true;
         stats_.op_retries++;
         break;
       case DescendStatus::kNoSlot: {
@@ -370,20 +401,21 @@ bool RemoteTree::insert(Slice key, Slice value) {
         if (node.image.find_free(tkey.byte(node.image.depth())) < 0) {
           if (!type_switch(tkey, d) && d.from_custom_start) {
             // A switch needs the parent, which a shortcut descent does not
-            // carry; redo the traversal from the root.
+            // carry; redo the traversal from the root (a walk lock on this
+            // node stays held for the switch).
             stats_.start_fallbacks++;
             allow_custom = false;
           }
           stats_.op_retries++;
           break;
         }
-        if (insert_into_free_slot(tkey, value, d)) return true;
+        if (insert_into_free_slot(tkey, d)) return true;
         stats_.op_retries++;
         break;
       }
       case DescendStatus::kLeafMismatch: {
         existing_key_scratch_.assign(d.leaf.key().data(), d.leaf.key().size());
-        if (insert_split(tkey, value, d, Slice(existing_key_scratch_))) {
+        if (insert_split(tkey, d, Slice(existing_key_scratch_))) {
           return true;
         }
         if (d.from_custom_start &&
@@ -409,7 +441,7 @@ bool RemoteTree::insert(Slice key, Slice value) {
           stats_.op_retries++;
           break;
         }
-        if (insert_split(tkey, value, d, Slice(recovered))) return true;
+        if (insert_split(tkey, d, Slice(recovered))) return true;
         if (d.from_custom_start &&
             d.path.front().image.depth() > d.cpl) {
           stats_.start_fallbacks++;
@@ -529,36 +561,119 @@ bool RemoteTree::install_slot_locked(NodeLock* lock, uint32_t slot_index,
   return won;
 }
 
-bool RemoteTree::insert_into_free_slot(const TerminatedKey& key, Slice value,
-                                       Descent& d) {
+bool RemoteTree::post_leaf(rdma::DoorbellBatch* batch) {
+  InsertOp& op = insert_op_;
+  if (op.leaf.ok) return true;
+  if (alloc_failed_) return false;  // the op's allocation already failed
+  op.leaf = make_leaf(*op.key, op.value, batch);
+  if (!op.leaf.ok) alloc_failed_ = true;  // nothing written, no lock taken
+  return op.leaf.ok;
+}
+
+bool RemoteTree::post_walk_lock(rdma::DoorbellBatch* batch,
+                                rdma::GlobalAddr addr, uint64_t predicted,
+                                bool* wrote_leaf) {
+  InsertOp& op = insert_op_;
+  *wrote_leaf = false;
+  if (op.key == nullptr || op.walk_posted ||
+      op.walk_held != WalkLock::kNone) {
+    return false;
+  }
+  const bool had_leaf = op.leaf.ok;
+  if (!post_leaf(batch)) return false;
+  *wrote_leaf = !had_leaf;
+  // No READ here: the caller's READ of the node lands where its start
+  // search validates it, after this CAS (one MN, post order).
+  op.walk.addr = addr;
+  op.walk.idle = predicted;
+  op.walk.locked = lease_inner_locked(predicted);
+  op.walk.cas_idx = batch->add_cas(addr, predicted, op.walk.locked,
+                                   rdma::FaultSite::kLockAcquire);
+  op.walk_posted = true;
+  return true;
+}
+
+RemoteTree::WalkLock RemoteTree::settle_walk_lock(
+    const rdma::DoorbellBatch& batch, bool valid, PathEntry* start) {
+  InsertOp& op = insert_op_;
+  if (!op.walk_posted) return WalkLock::kNone;
+  op.walk_posted = false;
+  // A lost CAS never feeds the lease watch: the busy word may belong to a
+  // foreign node recycled at this address, and reclaim_inner's attachment
+  // probe walks our key, so it would restore a live node to Invalid. A
+  // validated node that is busy reaches the watch through the sub-case.
+  if (!batch.cas_ok(op.walk.cas_idx)) return WalkLock::kNone;
+  if (!valid) {
+    // The predicted idle header matched a block that is not the entry's
+    // node (42 hash bits collided): put its exact word back.
+    unlock_node(op.walk);
+    return WalkLock::kRejected;
+  }
+  start->image.set_header(op.walk.idle);
+  const uint8_t branch = op.key->byte(start->image.depth());
+  if (start->image.find_pkey(branch) >= 0) {
+    op.walk_held = WalkLock::kReleases;
+  } else if (start->image.find_free(branch) >= 0) {
+    op.walk_held = WalkLock::kTakesLeaf;
+  } else {
+    op.walk_held = WalkLock::kGrows;
+  }
+  return op.walk_held;
+}
+
+bool RemoteTree::take_walk_lock(const PathEntry& node, NodeLock* lock) {
+  InsertOp& op = insert_op_;
+  if (op.walk_held == WalkLock::kNone || op.walk.addr != node.addr) {
+    return false;
+  }
+  op.walk_held = WalkLock::kNone;
+  lock->addr = op.walk.addr;
+  lock->idle = op.walk.idle;
+  lock->locked = op.walk.locked;
+  lock->image = node.image;
+  lock->image.set_header(op.walk.idle);
+  return true;
+}
+
+bool RemoteTree::read_releasing_walk_lock(rdma::GlobalAddr addr, void* dst,
+                                          size_t len) {
+  InsertOp& op = insert_op_;
+  if (op.walk_held != WalkLock::kReleases) return false;
+  op.walk_held = WalkLock::kNone;
+  rdma::DoorbellBatch batch(endpoint_);
+  batch.add_read(addr, dst, len);
+  batch.add_cas(op.walk.addr, op.walk.locked, op.walk.idle,
+                rdma::FaultSite::kLockRelease);
+  batch.execute();
+  return true;
+}
+
+bool RemoteTree::insert_into_free_slot(const TerminatedKey& key, Descent& d) {
   PathEntry& node = d.path.back();
   const uint8_t branch = key.byte(node.image.depth());
-  const uint64_t seen = node.image.header();
-  if (header_status(seen) != NodeStatus::kIdle) {
-    note_busy_inner(key, node.addr, seen);
-    return false;
-  }
-
-  // One round trip: leaf payload write, lock CAS and under-lock re-read
-  // (the image from the descent may be stale).
-  rdma::DoorbellBatch pre(endpoint_);
-  NewLeaf leaf = make_leaf(key, value, &pre);
-  if (!leaf.ok) {
-    alloc_failed_ = true;  // nothing written, no lock taken
-    return false;
-  }
   NodeLock lock;
-  post_lock(&pre, node.addr, seen, &lock);
-  {
-    rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
-    pre.execute();
-  }
-  if (!lock_won(key, pre, lock)) {
-    allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
-                    mem::AllocTag::kLeaf);
-    return false;
+  // A walk lock already holds the node, its image read under the lock:
+  // only the install remains.
+  if (!take_walk_lock(node, &lock)) {
+    const uint64_t seen = node.image.header();
+    if (header_status(seen) != NodeStatus::kIdle) {
+      note_busy_inner(key, node.addr, seen);
+      return false;
+    }
+    // One round trip: leaf payload write (unless an earlier doorbell of
+    // the op carried it), lock CAS and under-lock re-read (the image from
+    // the descent may be stale).
+    rdma::DoorbellBatch pre(endpoint_);
+    if (!post_leaf(&pre)) return false;
+    post_lock(&pre, node.addr, seen, &lock);
+    {
+      rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
+      pre.execute();
+    }
+    if (!lock_won(key, pre, lock)) return false;
   }
 
+  const NewLeaf& leaf = insert_op_.leaf;
   bool ok = false;
   const int existing = lock.image.find_pkey(branch);
   const int free_idx = lock.image.find_free(branch);
@@ -572,15 +687,11 @@ bool RemoteTree::insert_into_free_slot(const TerminatedKey& key, Slice value,
     unlock_node(lock);
     invalidate_inner(node.addr);  // our view of this node was stale
   }
-  if (!ok) {
-    allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
-                    mem::AllocTag::kLeaf);
-  }
   return ok;
 }
 
-bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
-                              Descent& d, Slice existing_key) {
+bool RemoteTree::insert_split(const TerminatedKey& key, Descent& d,
+                              Slice existing_key) {
   const uint32_t cpl = d.cpl;
   if (cpl >= key.size() || cpl >= existing_key.size()) return false;
   const uint8_t b_new = key.byte(cpl);
@@ -619,14 +730,14 @@ bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
   }
   const rdma::GlobalAddr m_addr = m_alloc.addr;
 
-  // One round trip: leaf write + M write + parent lock CAS + parent re-read.
+  // One round trip: leaf write (unless an earlier doorbell of the op
+  // carried it) + M write + parent lock CAS + parent re-read.
   rdma::DoorbellBatch pre(endpoint_);
-  NewLeaf leaf = make_leaf(key, value, &pre);
-  if (!leaf.ok) {
+  if (!post_leaf(&pre)) {
     allocator_.free(m_addr, m_bytes, mem::AllocTag::kInnerNode);
-    alloc_failed_ = true;
     return false;
   }
+  const NewLeaf& leaf = insert_op_.leaf;
   const uint64_t leaf_slot = pack_leaf_slot(b_new, leaf.units, leaf.addr);
   const uint64_t moved_slot = slot_with_pkey(child_word, b_old);
   if (mtype == NodeType::kN256) {
@@ -644,14 +755,12 @@ bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
     pre.execute();
   }
 
-  auto release_allocs = [&] {
-    allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
-                    mem::AllocTag::kLeaf);
+  auto release_m = [&] {
     allocator_.free(m_addr, m_bytes, mem::AllocTag::kInnerNode);
   };
 
   if (!lock_won(key, pre, lock)) {
-    release_allocs();
+    release_m();
     return false;
   }
 
@@ -660,14 +769,14 @@ bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
   if (idx < 0 || lock.image.slot(static_cast<uint32_t>(idx)) != child_word) {
     unlock_node(lock);
     invalidate_inner(parent.addr);  // stale view of the parent
-    release_allocs();
+    release_m();
     return false;
   }
 
   if (!install_slot_locked(&lock, static_cast<uint32_t>(idx), child_word,
                            pack_inner_slot(parent_branch, mtype, m_addr),
                            rdma::FaultSite::kSlotInstall)) {
-    release_allocs();
+    release_m();
     return false;
   }
 
@@ -681,7 +790,7 @@ bool RemoteTree::insert_split(const TerminatedKey& key, Slice value,
 }
 
 bool RemoteTree::insert_replace_invalid_leaf(const TerminatedKey& key,
-                                             Slice value, Descent& d) {
+                                             Descent& d) {
   PathEntry& node = d.path.back();
   const uint8_t branch = key.byte(node.image.depth());
   const uint64_t seen = node.image.header();
@@ -691,23 +800,16 @@ bool RemoteTree::insert_replace_invalid_leaf(const TerminatedKey& key,
   }
 
   rdma::DoorbellBatch pre(endpoint_);
-  NewLeaf leaf = make_leaf(key, value, &pre);
-  if (!leaf.ok) {
-    alloc_failed_ = true;
-    return false;
-  }
+  if (!post_leaf(&pre)) return false;
   NodeLock lock;
   post_lock(&pre, node.addr, seen, &lock);
   {
     rdma::PhaseScope write_scope(endpoint_, rdma::Phase::kLeafWrite);
     pre.execute();
   }
-  if (!lock_won(key, pre, lock)) {
-    allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
-                    mem::AllocTag::kLeaf);
-    return false;
-  }
+  if (!lock_won(key, pre, lock)) return false;
 
+  const NewLeaf& leaf = insert_op_.leaf;
   const int idx = lock.image.find_pkey(branch);
   bool ok = false;
   if (idx >= 0 &&
@@ -732,10 +834,6 @@ bool RemoteTree::insert_replace_invalid_leaf(const TerminatedKey& key,
   } else {
     unlock_node(lock);
   }
-  if (!ok) {
-    allocator_.free(leaf.addr, leaf.units * kLeafUnitBytes,
-                    mem::AllocTag::kLeaf);
-  }
   return ok;
 }
 
@@ -744,7 +842,10 @@ bool RemoteTree::type_switch(const TerminatedKey& key, Descent& d) {
   PathEntry& node = d.path.back();
   PathEntry& parent = d.path[d.path.size() - 2];
   NodeLock lock_n;
-  if (!lock_node(key, node.addr, node.image.header(), &lock_n)) return false;
+  if (!take_walk_lock(node, &lock_n) &&
+      !lock_node(key, node.addr, node.image.header(), &lock_n)) {
+    return false;
+  }
   const InnerImage& fresh_n = lock_n.image;
 
   if (fresh_n.find_free(key.byte(fresh_n.depth())) >= 0) {

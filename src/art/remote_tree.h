@@ -25,7 +25,12 @@
 //     of the op (one MN executes a doorbell's verbs in post order);
 //   * remove posts the leaf's Idle -> Invalid CAS (its linearization
 //     point), the parent lock CAS and the parent re-read in one doorbell;
-//   * the lock release rides the slot install CAS.
+//   * the lock release rides the slot install CAS;
+//   * an insert whose start search reads a node a cached entry names
+//     (Sphinx) locks it in that same doorbell, on the idle header the
+//     entry predicts; a start node whose slot for the key is taken
+//     releases the lock in the doorbell of the descent's next read, and a
+//     full one keeps it for its type switch.
 #pragma once
 
 #include <cstdint>
@@ -358,6 +363,32 @@ class RemoteTree : public KvIndex {
                        rdma::RetryPolicy& policy, uint32_t first,
                        bool allow_custom);
 
+  // ---- insert walk locks (DESIGN.md Sec. 16) --------------------------------
+  // While insert() descends, a subclass start search may lock the node a
+  // cached entry names in the doorbell that reads it. post_walk_lock()
+  // appends the insert's leaf WRITE (the op's first post only) and the
+  // Idle -> Locked CAS on `predicted`, the idle header the entry implies;
+  // the caller posts the node's READ after them. It posts nothing and
+  // returns false outside insert(), while a walk lock is posted or held, or
+  // when the leaf cannot be allocated. *wrote_leaf tells whether the batch
+  // now carries the leaf write.
+  bool post_walk_lock(rdma::DoorbellBatch* batch, rdma::GlobalAddr addr,
+                      uint64_t predicted, bool* wrote_leaf);
+  enum class WalkLock : uint8_t {
+    kNone,       // no walk lock was posted, or its CAS lost
+    kTakesLeaf,  // held; the node has a free slot for the key
+    kGrows,      // held; the node is full: the insert retries from the
+                 // root, and its type switch takes the lock
+    kReleases,   // held; the key's slot is taken (a leaf or an inner
+                 // child): the release rides the descent's next read
+    kRejected,   // won on an image that failed validation; released at once
+  };
+  // Settles a posted walk lock once its batch executed and the READ into
+  // `start` was validated (`valid`). A held lock's image gets the idle
+  // header back: the node as it stands once the lock is released.
+  WalkLock settle_walk_lock(const rdma::DoorbellBatch& batch, bool valid,
+                            PathEntry* start);
+
   // Memory node placement (consistent hashing, Sec. III).
   uint32_t mn_for_prefix(uint64_t hash) const {
     return cluster_.ring().mn_for(hash);
@@ -455,6 +486,32 @@ class RemoteTree : public KvIndex {
                            uint64_t expected, uint64_t desired,
                            rdma::FaultSite site);
 
+  // The insert in progress: its leaf, allocated and written at most once
+  // per op, and the start node lock its walk took (post_walk_lock).
+  struct InsertOp {
+    const TerminatedKey* key = nullptr;  // set while insert() runs
+    Slice value;
+    NewLeaf leaf;      // leaf.ok once allocated and its WRITE posted
+    NodeLock walk;     // header words and CAS index only (image unused)
+    bool walk_posted = false;
+    WalkLock walk_held = WalkLock::kNone;  // kNone, or how the lock is used
+  };
+  InsertOp insert_op_;
+  // Posts the insert's leaf WRITE into `batch` unless an earlier batch of
+  // the op carried it. False (alloc_failed_ latched) when the MN heap is
+  // exhausted.
+  bool post_leaf(rdma::DoorbellBatch* batch);
+  // Hands a walk lock held on `node` to the caller, with the node's
+  // under-lock image.
+  bool take_walk_lock(const PathEntry& node, NodeLock* lock);
+  // While a kReleases walk lock is held, reads `len` bytes at `addr` in a
+  // doorbell that also releases the lock, and returns true; otherwise
+  // reads nothing.
+  bool read_releasing_walk_lock(rdma::GlobalAddr addr, void* dst,
+                                size_t len);
+  // insert()'s retry loop.
+  bool insert_attempts(const TerminatedKey& key);
+
   // ---- crash-tolerant locking (lease reclamation) --------------------------
 
   uint8_t lease_owner() const {
@@ -497,15 +554,13 @@ class RemoteTree : public KvIndex {
   int probe_attached(const TerminatedKey& key, rdma::GlobalAddr target);
 
   // Insert sub-cases; each returns true when the insert completed, false
-  // to retry the whole operation.
-  bool insert_into_free_slot(const TerminatedKey& key, Slice value,
-                             Descent& d);
-  bool insert_split(const TerminatedKey& key, Slice value, Descent& d,
-                    Slice existing_key);
-  bool insert_replace_invalid_leaf(const TerminatedKey& key, Slice value,
-                                   Descent& d);
+  // to retry the whole operation. Each links the op's leaf (post_leaf).
+  bool insert_into_free_slot(const TerminatedKey& key, Descent& d);
+  bool insert_split(const TerminatedKey& key, Descent& d, Slice existing_key);
+  bool insert_replace_invalid_leaf(const TerminatedKey& key, Descent& d);
   // Replaces the full node at path.back() with the next larger type.
-  // Pre: caller holds no locks. Returns true if the switch happened.
+  // Pre: caller holds no locks but a walk lock on that node. Returns true
+  // if the switch happened.
   bool type_switch(const TerminatedKey& key, Descent& d);
 
   // Reads some leaf key below `addr` to recover an exact prefix.

@@ -262,7 +262,7 @@ void SphinxIndex::resolve_search_step(BatchSlot& s, BatchOp& op,
       resolve_lac(s, op, outcome);
       return;
     case Stage::kWalk:
-      resolve_walk(s.walk);
+      resolve_walk(s.walk, round_);
       return;
     case Stage::kRoot:
       s.stage = Stage::kStep;
@@ -286,15 +286,18 @@ void SphinxIndex::resolve_search_step(BatchSlot& s, BatchOp& op,
 
 void SphinxIndex::resolve_lac(BatchSlot& s, BatchOp& op,
                               StagedOutcome* outcome) {
-  // Validate the speculative leaf exactly as a descent-found leaf -- unit
-  // count, CRC, liveness, then the byte-exact key compare that makes wrong
-  // answers structurally impossible even for ABA-recycled blocks.
+  // Validate the speculative leaf like a descent-found leaf -- unit count,
+  // CRC, status, then the byte-exact key compare that makes wrong answers
+  // structurally impossible even for ABA-recycled blocks. Only an Idle
+  // leaf is served: a Locked one may be an out-of-place update's old leaf,
+  // already cut from the tree by a writer that died before retiring it, so
+  // it falls back to a descent, which reads through the tree.
   const art::TerminatedKey& tkey = *s.key;
   Descent& d = s.descent;
   art::LeafImage& leaf = d.leaf;
   const bool image_ok = leaf.units() == s.units &&
                         leaf.revalidate() != art::LeafImage::Revalidate::kBad &&
-                        leaf.status() != art::NodeStatus::kInvalid;
+                        leaf.status() == art::NodeStatus::kIdle;
   if (image_ok && leaf.key() == tkey.full()) {
     // Final audit on the exact image being returned. The gate above
     // already established both properties, so a failure here means the
@@ -434,19 +437,16 @@ bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
             // costs zero extra round trips. Either read is PEC-driven; the
             // doorbell is one round trip and phases attribute per round
             // trip, not per verb.
+            *phase = post_entry_read(w, batch, type, addr,
+                                     rdma::Phase::kPecValidate);
             if (!hot) {
               const race::RaceClient::Probe probe = inht_.plan_probe(hash);
-              batch->add_read(addr, w.out->image.raw(),
-                              art::inner_node_bytes(type));
               batch->add_read(probe.group_addr, w.fused_group.data(),
                               race::kGroupBytes);
               w.step = Step::kFusedRead;
             } else {
-              batch->add_read(addr, w.out->image.raw(),
-                              art::inner_node_bytes(type));
               w.step = Step::kPecRead;
             }
-            *phase = rdma::Phase::kPecValidate;
             return true;
           }
           if (filter_ == nullptr) {
@@ -477,9 +477,9 @@ bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
         }
         // One round trip: fetch the candidate node, verified on landing.
         const uint64_t payload = w.payloads[w.candidate];
-        batch->add_read(inht_payload_addr(payload), w.out->image.raw(),
-                        art::inner_node_bytes(inht_payload_type(payload)));
-        *phase = rdma::Phase::kInnerRead;
+        *phase = post_entry_read(w, batch, inht_payload_type(payload),
+                                 inht_payload_addr(payload),
+                                 rdma::Phase::kInnerRead);
         w.step = Step::kCandidateRead;
         return true;
       }
@@ -518,7 +518,8 @@ bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
   }
 }
 
-void SphinxIndex::resolve_walk(StartWalk& w) {
+void SphinxIndex::resolve_walk(StartWalk& w,
+                               const rdma::DoorbellBatch& batch) {
   using Step = StartWalk::Step;
   const uint64_t hash = w.hashes[w.len];
   switch (w.step) {
@@ -527,7 +528,7 @@ void SphinxIndex::resolve_walk(StartWalk& w) {
       const art::NodeType type = inht_payload_type(w.pec_payload);
       const rdma::GlobalAddr addr = inht_payload_addr(w.pec_payload);
       const bool fused = w.step == Step::kFusedRead;
-      if (validate_start(w.len, hash, type, addr, w.out)) {
+      if (validate_entry_read(w, batch, type, addr)) {
         if (fused) sstats_.speculative_wins++;
         w.step = Step::kFound;
         return;
@@ -562,7 +563,7 @@ void SphinxIndex::resolve_walk(StartWalk& w) {
       const uint64_t payload = w.payloads[w.candidate];
       const art::NodeType type = inht_payload_type(payload);
       const rdma::GlobalAddr addr = inht_payload_addr(payload);
-      if (!validate_start(w.len, hash, type, addr, w.out)) {
+      if (!validate_entry_read(w, batch, type, addr)) {
         w.candidate++;
         w.step = Step::kCandidate;
         return;
@@ -581,6 +582,45 @@ void SphinxIndex::resolve_walk(StartWalk& w) {
     default:
       return;
   }
+}
+
+rdma::Phase SphinxIndex::post_entry_read(StartWalk& w,
+                                         rdma::DoorbellBatch* batch,
+                                         art::NodeType type,
+                                         rdma::GlobalAddr addr,
+                                         rdma::Phase phase) {
+  // An insert locks the node in this very doorbell, on the idle header the
+  // entry predicts; the READ then lands under the lock (DESIGN.md Sec. 16).
+  bool wrote_leaf = false;
+  post_walk_lock(batch, addr,
+                 art::pack_inner_header(art::NodeStatus::kIdle, type,
+                                        static_cast<uint8_t>(w.len),
+                                        w.hashes[w.len]),
+                 &wrote_leaf);
+  batch->add_read(addr, w.out->image.raw(), art::inner_node_bytes(type));
+  return wrote_leaf ? rdma::Phase::kLeafWrite : phase;
+}
+
+bool SphinxIndex::validate_entry_read(StartWalk& w,
+                                      const rdma::DoorbellBatch& batch,
+                                      art::NodeType type,
+                                      rdma::GlobalAddr addr) {
+  const bool valid = validate_start(w.len, w.hashes[w.len], type, addr, w.out);
+  switch (settle_walk_lock(batch, valid, w.out)) {
+    case WalkLock::kTakesLeaf:
+    case WalkLock::kGrows:
+      sstats_.insert_walk_locks++;
+      break;
+    case WalkLock::kReleases:
+      sstats_.insert_walk_lock_releases++;
+      break;
+    case WalkLock::kRejected:
+      sstats_.insert_walk_lock_rejects++;
+      break;
+    case WalkLock::kNone:
+      break;
+  }
+  return valid;
 }
 
 void SphinxIndex::walk_missed(StartWalk& w) {
@@ -606,7 +646,7 @@ bool SphinxIndex::start_search(const art::TerminatedKey& key,
       rdma::PhaseScope step_scope(endpoint_, phase);
       round_.execute();
     }
-    resolve_walk(walk_);
+    resolve_walk(walk_, round_);
   }
   return walk_.step == StartWalk::Step::kFound;
 }

@@ -81,6 +81,12 @@ struct SphinxStats {
   uint64_t batch_serial_ops = 0;    // batch ops the LAC round did not finish
   uint64_t batch_shared_rounds = 0; // the other rounds of staged searches
   uint64_t batch_shared_ops = 0;    // searches those rounds decided
+  // Insert walk locks (DESIGN.md Sec. 16): the lock CAS an insert's start
+  // walk posts with the read of a node an entry names, when it won on
+  uint64_t insert_walk_locks = 0;          // a node with a free slot, or a
+                                           // full one the insert then grew
+  uint64_t insert_walk_lock_releases = 0;  // a node whose slot was taken
+  uint64_t insert_walk_lock_rejects = 0;   // a block failing validation
 
   SphinxStats& operator+=(const SphinxStats& o);
 };
@@ -112,6 +118,9 @@ inline constexpr metrics::Field<SphinxStats> kSphinxStatsFields[] = {
     {"batch_serial_ops", &SphinxStats::batch_serial_ops},
     {"batch_shared_rounds", &SphinxStats::batch_shared_rounds},
     {"batch_shared_ops", &SphinxStats::batch_shared_ops},
+    {"insert_walk_locks", &SphinxStats::insert_walk_locks},
+    {"insert_walk_lock_releases", &SphinxStats::insert_walk_lock_releases},
+    {"insert_walk_lock_rejects", &SphinxStats::insert_walk_lock_rejects},
 };
 
 inline SphinxStats& SphinxStats::operator+=(const SphinxStats& o) {
@@ -269,7 +278,9 @@ class SphinxIndex final : public art::RemoteTree {
   // walk's local work until it needs a read and posts that read into a
   // doorbell batch; resolve_walk() consumes the read once the batch has
   // executed. start_search() is the one-op driver; run_staged() drives
-  // one walk per in-flight search through shared rounds.
+  // one walk per in-flight search through shared rounds. An insert's walk
+  // also locks each node an entry names in the doorbell that reads it
+  // (RemoteTree::post_walk_lock, DESIGN.md Sec. 16).
   struct StartWalk {
     enum class Step : uint8_t {
       kScan,           // probe SFC, then PEC, at `len` (local)
@@ -305,7 +316,18 @@ class SphinxIndex final : public art::RemoteTree {
   // it posted one read into `batch` and set *phase to its phase.
   bool post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
                  rdma::Phase* phase);
-  void resolve_walk(StartWalk& w);
+  // `batch` is the executed doorbell post_walk posted into.
+  void resolve_walk(StartWalk& w, const rdma::DoorbellBatch& batch);
+  // Posts the READ of the node an entry names (type `type` at `addr`) for
+  // the prefix at w.len, after an insert's walk lock; returns the phase of
+  // the doorbell: kLeafWrite when it carries the insert's leaf, else
+  // `phase`.
+  rdma::Phase post_entry_read(StartWalk& w, rdma::DoorbellBatch* batch,
+                              art::NodeType type, rdma::GlobalAddr addr,
+                              rdma::Phase phase);
+  // validate_start() for that read, settling its walk lock.
+  bool validate_entry_read(StartWalk& w, const rdma::DoorbellBatch& batch,
+                           art::NodeType type, rdma::GlobalAddr addr);
   // The walk found nothing at `len`: go on with the next shorter prefix.
   void walk_missed(StartWalk& w);
 

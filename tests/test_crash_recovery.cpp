@@ -1,9 +1,10 @@
 // Crash-tolerant locking, deterministically: lease word encodings
 // round-trip; a lock orphaned by an injected client crash is reclaimed by
-// exactly one of two concurrent waiters; and a RACE segment lock orphaned
-// mid-split is recovered by rollback (sibling not yet visible) or
-// roll-forward (directory already redirected), with no stored payload lost
-// either way. The probabilistic end-to-end coverage lives in
+// exactly one of two concurrent waiters; a leaf that a crashed writer left
+// Locked is never served from another CN's leaf address cache; and a RACE
+// segment lock orphaned mid-split is recovered by rollback (sibling not yet
+// visible) or roll-forward (directory already redirected), with no stored
+// payload lost either way. The probabilistic end-to-end coverage lives in
 // test_stress.cpp; these tests pin each recovery mechanism in isolation.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "art/art_index.h"
 #include "art/node_layout.h"
 #include "common/hash.h"
+#include "core/sphinx_index.h"
 #include "memnode/remote_allocator.h"
 #include "racehash/race_table.h"
 #include "rdma/fault_injector.h"
@@ -145,6 +147,61 @@ TEST(CrashRecovery, TwoWaitersExactlyOneReclaims) {
   ASSERT_TRUE(reader.search("key", &v));
   EXPECT_TRUE(v == "w0" || v == "w1") << v;
   EXPECT_EQ(reader.tree_stats().recovery.lock_reclaims, 0u);
+}
+
+// ---- the leaf address cache under a crashed writer --------------------------
+
+TEST(CrashRecovery, LacNeverServesALeafLeftLockedByACrashedWriter) {
+  auto cluster = testing::make_test_cluster();
+  const core::SphinxRefs refs = core::create_sphinx(*cluster);
+  auto filter = filter::CuckooFilter::with_budget(1 << 16);
+  auto pec = filter::PrefixEntryCache::with_budget(1 << 16);
+  auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+  struct Client {
+    Client(mem::Cluster& cluster, const core::SphinxRefs& refs, uint32_t cn,
+           uint32_t id, filter::CuckooFilter* filter = nullptr,
+           filter::PrefixEntryCache* pec = nullptr,
+           filter::LeafAddressCache* lac = nullptr)
+        : ep(cluster.fabric(), cn, /*metered=*/true),
+          alloc(cluster, ep),
+          index(cluster, ep, alloc, refs, filter, pec, lac) {
+      ep.set_fault_client_id(id);
+    }
+    rdma::Endpoint ep;
+    mem::RemoteAllocator alloc;
+    core::SphinxIndex index;
+  };
+
+  // CN 0 warms its LAC binding for the key, which sits below an inner node.
+  Client reader(*cluster, refs, 0, 1, filter.get(), pec.get(), lac.get());
+  ASSERT_TRUE(reader.index.insert("lac/key", "v0"));
+  ASSERT_TRUE(reader.index.insert("lac/kez", "v"));
+  std::string v;
+  ASSERT_TRUE(reader.index.search("lac/key", &v));
+  ASSERT_EQ(v, "v0");
+
+  // CN 1 grows the value out of place and dies on the parent release that
+  // rides its slot install: the tree leads to the new leaf, and the old one
+  // stays Locked and detached.
+  rdma::FaultInjector injector(/*seed=*/7);
+  arm_assassin(injector, 77, rdma::FaultSite::kLockRelease);
+  cluster->fabric().set_fault_injector(&injector);
+  const std::string grown(900, 'N');
+  {
+    Client victim(*cluster, refs, 1, 77);
+    EXPECT_THROW(victim.index.update("lac/key", grown), rdma::ClientCrashed);
+  }
+  cluster->fabric().set_fault_injector(nullptr);
+
+  // CN 2 reads through the tree: the new value.
+  Client fresh(*cluster, refs, 2, 2);
+  ASSERT_TRUE(fresh.index.search("lac/key", &v));
+  EXPECT_EQ(v, grown);
+  // CN 0's warm binding still names the old leaf, which must not be served.
+  ASSERT_TRUE(reader.index.search("lac/key", &v));
+  EXPECT_EQ(v, grown);
+  EXPECT_EQ(reader.index.sphinx_stats().lac_stale, 1u);
+  EXPECT_EQ(reader.index.sphinx_stats().lac_wrong_value, 0u);
 }
 
 // ---- orphaned RACE segment lock --------------------------------------------

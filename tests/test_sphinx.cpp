@@ -1,10 +1,13 @@
 // Tests for the Sphinx index: INHT payload packing, the filter-guided
 // search path and its round-trip budget, false-positive recovery, fallback
-// paths, type-switch coherence, and oracle semantics.
+// paths, type-switch coherence, oracle semantics, and the insert walk
+// lock's costs and its safety against stale cache entries.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
+#include <thread>
 
 #include "art/art_index.h"
 #include "common/rng.h"
@@ -12,6 +15,7 @@
 #include "core/sphinx_index.h"
 #include "filter/leaf_addr_cache.h"
 #include "filter/prefix_entry_cache.h"
+#include "rdma/retry_policy.h"
 #include "test_util.h"
 #include "ycsb/dataset.h"
 
@@ -571,6 +575,286 @@ TEST_F(SphinxTest, InhtMemoryOverheadIsSmall) {
       stats.requested_bytes(mem::AllocTag::kHashTable);
   EXPECT_LT(static_cast<double>(table_bytes),
             0.25 * static_cast<double>(tree_bytes));
+}
+
+
+// ---- insert walk locks (DESIGN.md Sec. 16) ----------------------------------
+// An insert locks the node its PEC or INHT entry names in the start walk's
+// own read: one doorbell carries the new leaf's WRITE, the Idle -> Locked
+// CAS on the header the entry predicts, and the node's READ.
+
+class WalkLockTest : public SphinxTest {
+ protected:
+  void SetUp() override {
+    SphinxTest::SetUp();
+    pec_ = filter::PrefixEntryCache::with_budget(1 << 18);
+    index_ = std::make_unique<SphinxIndex>(*cluster_, *endpoint_, *allocator_,
+                                           refs_, filter_.get(), pec_.get());
+    // Lease an allocator chunk on every MN first, so no FAA hides in the
+    // costs below.
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE(index_->insert("w" + std::to_string(i), "v"));
+    }
+    warm_ = index_->sphinx_stats();
+  }
+
+  // A SphinxStats counter since the warm-up.
+  uint64_t since_warmup(uint64_t SphinxStats::*field) const {
+    return index_->sphinx_stats().*field - warm_.*field;
+  }
+
+  // The round trips one op spends, net of its INHT maintenance (an INHT
+  // insert or update after a split or a type switch).
+  template <typename Op>
+  uint64_t tree_rtts_of(Op&& op) {
+    const rdma::EndpointStats before = endpoint_->stats();
+    op();
+    last_ = endpoint_->stats() - before;
+    EXPECT_EQ(last_.rtts_sum_by_phase(), last_.round_trips);
+    EXPECT_EQ(rtts(rdma::Phase::kAlloc), 0u);
+    return last_.round_trips - rtts(rdma::Phase::kInhtRead) -
+           rtts(rdma::Phase::kInhtWrite);
+  }
+  uint64_t rtts(rdma::Phase p) const {
+    return last_.rtts_by_phase[static_cast<size_t>(p)];
+  }
+
+  // The PEC payload cached for `prefix` (a lookup also marks it hot).
+  uint64_t pec_payload(Slice prefix) {
+    uint64_t payload = 0;
+    bool hot = false;
+    EXPECT_TRUE(pec_->lookup(art::prefix_hash(prefix), &payload, &hot));
+    return payload;
+  }
+
+  // Raw remote bytes, read without touching any client's counters.
+  std::vector<uint8_t> peek(rdma::GlobalAddr addr, size_t len) {
+    rdma::Endpoint loader = cluster_->make_loader_endpoint();
+    std::vector<uint8_t> bytes(len);
+    loader.read(addr, bytes.data(), len);
+    return bytes;
+  }
+  // A fresh Node-4 image for `prefix` written to a new block, outside the
+  // tree: a foreign node recycled at an address some PEC entry names.
+  rdma::GlobalAddr plant_node(Slice prefix, uint64_t header, uint64_t hash) {
+    art::InnerImage img = art::InnerImage::create(art::NodeType::kN4, prefix);
+    img.set_header(header);
+    img.raw()[1] = hash;
+    const uint32_t bytes = art::inner_node_bytes(art::NodeType::kN4);
+    const rdma::GlobalAddr addr =
+        allocator_->alloc(0, bytes, mem::AllocTag::kInnerNode);
+    rdma::Endpoint loader = cluster_->make_loader_endpoint();
+    loader.write(addr, img.raw(), bytes);
+    return addr;
+  }
+
+  std::unique_ptr<filter::PrefixEntryCache> pec_;
+  SphinxStats warm_;
+  rdma::EndpointStats last_;
+};
+
+TEST_F(WalkLockTest, WarmPecInsertIntoFreeSlotCostsTwoRoundTrips) {
+  ASSERT_TRUE(index_->insert("node:a", "va"));
+  ASSERT_TRUE(index_->insert("node:b", "vb"));  // N4 "node:" below the root
+  std::string v;
+  ASSERT_TRUE(index_->search("node:a", &v));  // the PEC entry turns hot
+
+  // Leaf write + lock CAS + node read, then slot CAS + release.
+  EXPECT_EQ(tree_rtts_of([&] { EXPECT_TRUE(index_->insert("node:c", "vc")); }),
+            2u);
+  EXPECT_EQ(rtts(rdma::Phase::kLeafWrite), 1u);
+  EXPECT_EQ(rtts(rdma::Phase::kInnerWrite), 1u);
+  EXPECT_EQ(rtts(rdma::Phase::kPecValidate), 0u);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_locks), 1u);
+  EXPECT_EQ(index_->tree_stats().lock_fail_retries, 0u);
+  ASSERT_TRUE(index_->search("node:c", &v));
+  EXPECT_EQ(v, "vc");
+}
+
+TEST_F(WalkLockTest, InsertAfterPecMissCostsTheInhtReadPlusTwo) {
+  ASSERT_TRUE(index_->insert("node:a", "va"));
+  ASSERT_TRUE(index_->insert("node:b", "vb"));
+  const uint64_t payload = pec_payload("node:");
+  pec_->invalidate_if(art::prefix_hash(Slice("node:")),
+                      inht_payload_addr(payload).to48());
+
+  // The filter names the prefix, the PEC misses: the INHT read, then the
+  // candidate read carrying the leaf write and the lock, then the install.
+  EXPECT_EQ(tree_rtts_of([&] { EXPECT_TRUE(index_->insert("node:c", "vc")); }),
+            2u);
+  EXPECT_GE(rtts(rdma::Phase::kInhtRead), 1u);
+  EXPECT_EQ(rtts(rdma::Phase::kInnerRead), 0u);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_locks), 1u);
+  std::string v;
+  ASSERT_TRUE(index_->search("node:c", &v));
+  EXPECT_EQ(v, "vc");
+}
+
+TEST_F(WalkLockTest, NoInsertCostsMoreThanWithoutTheWalkLock) {
+  // No case below costs more than it would with no walk lock: a node whose
+  // slot for the key is taken releases its lock in the doorbell of the
+  // descent's next read, and a full node keeps it for its type switch.
+  ASSERT_TRUE(index_->insert("node:a", "va"));
+  ASSERT_TRUE(index_->insert("node:b", "vb"));
+  std::string v;
+  ASSERT_TRUE(index_->search("node:a", &v));
+
+  // An existing key: walk read (+ lock), then the leaf read (+ release).
+  EXPECT_EQ(tree_rtts_of([&] { EXPECT_FALSE(index_->insert("node:a", "x")); }),
+            2u);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_lock_releases), 1u);
+  ASSERT_TRUE(index_->search("node:a", &v));
+  EXPECT_EQ(v, "va");
+
+  // A split of the leaf in the locked node's slot: walk read, leaf read,
+  // new node write + lock + re-read, install.
+  const uint64_t splits = index_->tree_stats().splits;
+  EXPECT_EQ(tree_rtts_of([&] { EXPECT_TRUE(index_->insert("node:aX", "vx")); }),
+            4u);
+  EXPECT_EQ(index_->tree_stats().splits, splits + 1);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_lock_releases), 2u);
+
+  // Fill the node, then one more: walk read, the root retry's reads down
+  // to the still-locked node, the type switch without a lock doorbell of
+  // its own, and the insert into the grown node. One round trip less than
+  // the 12 of a switch that must lock the node first.
+  ASSERT_TRUE(index_->insert("node:c", "vc"));
+  ASSERT_TRUE(index_->insert("node:d", "vd"));
+  const uint64_t switches = index_->tree_stats().type_switches;
+  const uint64_t locks = since_warmup(&SphinxStats::insert_walk_locks);
+  EXPECT_EQ(tree_rtts_of([&] { EXPECT_TRUE(index_->insert("node:e", "ve")); }),
+            11u);
+  EXPECT_EQ(index_->tree_stats().type_switches, switches + 1);
+  EXPECT_EQ(rtts(rdma::Phase::kLock), 0u);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_locks), locks + 1);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_lock_releases), 2u);
+  for (const char* k : {"node:a", "node:aX", "node:b", "node:c", "node:d",
+                        "node:e"}) {
+    EXPECT_TRUE(index_->search(k, &v)) << k;
+  }
+
+  // A PEC entry naming a shallower node: another CN split below it, so
+  // this CN's filter stops at "sh:". Walk read, child read (+ release),
+  // child lock + re-read, install.
+  ASSERT_TRUE(index_->insert("sh:x1", "v"));
+  ASSERT_TRUE(index_->insert("sh:y1", "v"));
+  rdma::Endpoint ep2(cluster_->fabric(), 1, true);
+  mem::RemoteAllocator alloc2(*cluster_, ep2);
+  SphinxIndex other(*cluster_, ep2, alloc2, refs_, nullptr);
+  ASSERT_TRUE(other.insert("sh:x2", "v"));  // N4 "sh:x" under "sh:"
+  EXPECT_EQ(tree_rtts_of([&] { EXPECT_TRUE(index_->insert("sh:x3", "v")); }),
+            4u);
+  EXPECT_EQ(rtts(rdma::Phase::kLock), 0u);
+  EXPECT_TRUE(other.search("sh:x3", &v));
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_lock_releases), 3u);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_lock_rejects), 0u);
+}
+
+TEST_F(WalkLockTest, StaleEntriesNeverLockOrChangeAForeignBlock) {
+  for (const char* k : {"ts:a", "ts:b", "ts:c", "ts:d", "rc:a", "rc:b"}) {
+    ASSERT_TRUE(index_->insert(k, "v"));
+  }
+  const uint64_t ts_hash = art::prefix_hash(Slice("ts:"));
+  const uint64_t n4 = pec_payload("ts:");
+  const rdma::GlobalAddr rc_addr = inht_payload_addr(pec_payload("rc:"));
+  const uint32_t n4_bytes = art::inner_node_bytes(art::NodeType::kN4);
+  art::InnerImage rc_image;
+  std::vector<uint8_t> raw = peek(rc_addr, n4_bytes);
+  std::memcpy(rc_image.raw(), raw.data(), raw.size());
+  const uint64_t leaf_word = rc_image.slot(
+      static_cast<uint32_t>(rc_image.find_pkey(static_cast<uint8_t>('a'))));
+  ASSERT_TRUE(art::slot_is_leaf(leaf_word));
+
+  // A PEC-less client grows "ts:" to a Node-16 elsewhere; the old block is
+  // now Invalid.
+  rdma::Endpoint ep2(cluster_->fabric(), 1, true);
+  mem::RemoteAllocator alloc2(*cluster_, ep2);
+  SphinxIndex grower(*cluster_, ep2, alloc2, refs_, nullptr);
+  ASSERT_TRUE(grower.insert("ts:e", "v"));
+  ASSERT_EQ(grower.tree_stats().type_switches, 1u);
+
+  // A block whose idle header equals the prediction for "ts:" but whose
+  // full prefix hash differs: 42 hash bits collided.
+  const uint64_t predicted = art::pack_inner_header(
+      art::NodeStatus::kIdle, art::NodeType::kN4, 3, ts_hash);
+  const rdma::GlobalAddr twin =
+      plant_node("zz:", predicted, ts_hash ^ (1ull << 63));
+
+  struct Case {
+    const char* what;
+    rdma::GlobalAddr addr;
+    const char* key;
+    uint64_t rejects;  // the CAS won: only the hash check rejects the block
+  };
+  const Case cases[] = {
+      {"type-switched node", inht_payload_addr(n4), "ts:f", 0},
+      {"block recycled as another inner node", rc_addr, "ts:g", 0},
+      {"block recycled as a leaf", art::slot_addr(leaf_word), "ts:h", 0},
+      {"idle header collides in 42 bits", twin, "ts:i", 1},
+  };
+  std::string v;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    pec_->insert(ts_hash, pack_inht_payload(art::NodeType::kN4, c.addr));
+    const std::vector<uint8_t> before = peek(c.addr, n4_bytes);
+    const SphinxStats s0 = index_->sphinx_stats();
+    ASSERT_TRUE(index_->insert(c.key, "v"));
+    const SphinxStats& s1 = index_->sphinx_stats();
+    EXPECT_EQ(peek(c.addr, n4_bytes), before);  // ends Idle, byte-identical
+    EXPECT_EQ(s1.insert_walk_lock_rejects - s0.insert_walk_lock_rejects,
+              c.rejects);
+    EXPECT_EQ(s1.pec_stale - s0.pec_stale, 1u);
+    // The INHT candidate, the grown node, took the lock and the leaf.
+    EXPECT_EQ(s1.insert_walk_locks - s0.insert_walk_locks, 1u);
+    EXPECT_TRUE(grower.search(c.key, &v));
+  }
+  EXPECT_EQ(index_->tree_stats().recovery.lock_reclaims, 0u);
+  ASSERT_TRUE(index_->search("rc:a", &v));
+  EXPECT_EQ(v, "v");
+
+  // Every key landed under the grown node.
+  art::InnerImage grown;
+  const uint64_t fresh = pec_payload("ts:");
+  ASSERT_EQ(inht_payload_type(fresh), art::NodeType::kN16);
+  raw = peek(inht_payload_addr(fresh),
+             art::inner_node_bytes(art::NodeType::kN16));
+  std::memcpy(grown.raw(), raw.data(), raw.size());
+  for (const char b : std::string("abcdefghi")) {
+    EXPECT_GE(grown.find_pkey(static_cast<uint8_t>(b)), 0) << b;
+  }
+}
+
+TEST_F(WalkLockTest, LockedForeignNodeAtAStalePecAddressIsNeverReclaimed) {
+  ASSERT_TRUE(index_->insert("ts:a", "v"));
+  ASSERT_TRUE(index_->insert("ts:b", "v"));
+  const uint64_t ts_hash = art::prefix_hash(Slice("ts:"));
+  // A foreign node, detached and Locked by a client that died long ago.
+  const uint64_t zz_hash = art::prefix_hash(Slice("zz:"));
+  const uint64_t orphaned = art::pack_inner_lease(
+      art::pack_inner_header(art::NodeStatus::kIdle, art::NodeType::kN4, 3,
+                             zz_hash),
+      art::NodeStatus::kLocked, /*owner=*/250, /*stamp=*/5);
+  const rdma::GlobalAddr foreign = plant_node("zz:", orphaned, zz_hash);
+  const uint32_t n4_bytes = art::inner_node_bytes(art::NodeType::kN4);
+  const std::vector<uint8_t> before = peek(foreign, n4_bytes);
+
+  // Each insert meets the same busy word at the stale address, a full
+  // lease apart in both clocks. Only a validated node may feed the lease
+  // watch: reclaiming this one would restore it from our key's path.
+  for (const char* k : {"ts:c", "ts:d", "ts:e"}) {
+    pec_->insert(ts_hash, pack_inht_payload(art::NodeType::kN4, foreign));
+    endpoint_->set_clock_ns(endpoint_->clock_ns() + 2 * rdma::kLeaseVirtualNs);
+    std::this_thread::sleep_for(2 * rdma::kLeaseRealFloor);
+    ASSERT_TRUE(index_->insert(k, "v"));
+  }
+  EXPECT_EQ(peek(foreign, n4_bytes), before);
+  EXPECT_EQ(index_->tree_stats().recovery.lease_expiries_observed, 0u);
+  EXPECT_EQ(index_->tree_stats().recovery.lock_reclaims, 0u);
+  // "ts:c" and "ts:d" took the INHT candidate's free slots; "ts:e" found
+  // it full and grew it under the same lock.
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_locks), 3u);
+  EXPECT_EQ(since_warmup(&SphinxStats::insert_walk_lock_releases), 0u);
+  EXPECT_EQ(since_warmup(&SphinxStats::pec_stale), 3u);
 }
 
 }  // namespace

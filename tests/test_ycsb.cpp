@@ -237,8 +237,10 @@ TEST(Runner, PipelineDepth1IsBitIdenticalToSerialDefault) {
 // Depth-1 traffic fingerprint: one worker, one loader and a fixed seed
 // make every run below deterministic, so its traffic and counters are
 // pinned exactly. The golden lines were recorded before the staged search
-// engine existed (the E lines before depth 1 became a batch of one);
-// depth-1 traffic must not move.
+// engine existed (the E lines before depth 1 became a batch of one); the
+// Sphinx D, E and CHURN lines were re-recorded when inserts began locking
+// their start node in the start walk's read, each at fewer round trips.
+// Depth-1 traffic must not otherwise move.
 struct FingerprintCase {
   const char* name;
   SystemKind kind;

@@ -29,6 +29,10 @@ Checks, per (system, dataset, workload) record:
     validation is a correctness bug in ANY run, faulted or not.
   * churn rows (workload CHURN, any :pN suffix) actually exercise the
     reclamation pipeline: reclaimed_blocks > 0, and the quarantine drains.
+    Sphinx churn rows must also report insert_walk_locks > 0: inserts that
+    locked their start node in the start walk's own read (DESIGN.md Sec.
+    16). Zero means that fast path went inert and every insert paid the
+    start read again.
     retired_bytes_outstanding is a cluster-wide gauge sampled at phase
     end (it includes not-yet-ripe blocks retired by earlier workloads on
     the same cluster, e.g. YCSB-F's out-of-place RMW), so it is bounded
@@ -246,6 +250,10 @@ def main(argv):
                 failures.append(
                     "%s/%s/%s: churn run recycled no blocks "
                     "(reclamation pipeline inert)" % k)
+            if k[0] == "Sphinx" and c.get("insert_walk_locks", 0) == 0:
+                failures.append(
+                    "%s/%s/%s: no insert took a walk lock "
+                    "(insert walk-lock fast path inert)" % k)
             total = cluster_retired.get((k[0], k[1]), 0)
             outstanding = c.get("retired_bytes_outstanding", 0)
             # The absolute floor covers the healthy not-yet-ripe tail: a

@@ -32,43 +32,55 @@ inline uint64_t mn_bytes_for_keys(uint64_t keys, uint32_t num_mns) {
   return per_mn;
 }
 
-// Builds a cluster from an explicit fabric topology (--mns/--cns/--vnodes
-// sweeps). `mn_bytes_override` (--mem-budget) replaces the per-MN
-// auto-sizing; a deliberately small budget drives the allocator into
-// degraded mode (alloc_failures / alloc_degraded_ops instead of crashes).
-inline std::unique_ptr<mem::Cluster> make_cluster_with_config(
-    rdma::NetworkConfig config, uint64_t keys, uint64_t mn_bytes_override = 0) {
+// Builds a cluster sized for `keys` on `config`'s fabric topology (default:
+// the paper testbed, 3 CNs and 3 MNs). `mn_bytes_override` (--mem-budget)
+// replaces the per-MN auto-sizing; a deliberately small budget drives the
+// allocator into degraded mode (alloc_failures / alloc_degraded_ops
+// instead of crashes).
+inline std::unique_ptr<mem::Cluster> make_cluster(
+    uint64_t keys, uint64_t mn_bytes_override = 0,
+    const rdma::NetworkConfig& config = rdma::NetworkConfig()) {
   const uint64_t mn_bytes = mn_bytes_override > 0
                                 ? mn_bytes_override
                                 : mn_bytes_for_keys(keys, config.num_mns);
   return std::make_unique<mem::Cluster>(config, mn_bytes);
 }
 
-inline std::unique_ptr<mem::Cluster> make_cluster(
-    uint64_t keys, bool batching = true, uint64_t mn_bytes_override = 0) {
-  rdma::NetworkConfig config;  // paper testbed: 3 CNs, 3 MNs
-  config.doorbell_batching = batching;
-  return make_cluster_with_config(config, keys, mn_bytes_override);
-}
-
-// Parses one system name; rejects unknown names instead of silently
-// picking a default (a sweep script that typos a system must not benchmark
-// the wrong baseline all night).
-inline bool parse_system(const std::string& name, ycsb::SystemKind* out) {
-  if (name == "sphinx" || name == "Sphinx") {
-    *out = ycsb::SystemKind::kSphinx;
-  } else if (name == "sphinx-nosfc") {
-    *out = ycsb::SystemKind::kSphinxNoFilter;
-  } else if (name == "smart" || name == "SMART") {
-    *out = ycsb::SystemKind::kSmart;
-  } else if (name == "smart+c" || name == "smartc") {
-    *out = ycsb::SystemKind::kSmartC;
-  } else if (name == "art" || name == "ART") {
-    *out = ycsb::SystemKind::kArt;
-  } else {
+// Parses --systems as a csv of names from ycsb::kSystemNames; rejects
+// unknown names instead of silently picking a default (a sweep script that
+// typos a system must not benchmark the wrong baseline all night).
+inline bool parse_systems(const std::string& spec,
+                          std::vector<ycsb::SystemKind>* out) {
+  out->clear();
+  std::stringstream ss(spec);
+  std::string token;
+  while (std::getline(ss, token, ',')) {
+    ycsb::SystemKind kind;
+    if (!ycsb::parse_system_kind(token, &kind)) {
+      std::cerr << "--systems: unknown system '" << token << "' (expected";
+      for (const ycsb::SystemName& n : ycsb::kSystemNames) {
+        std::cerr << " " << n.cli;
+      }
+      std::cerr << ")\n";
+      return false;
+    }
+    out->push_back(kind);
+  }
+  if (out->empty()) {
+    std::cerr << "--systems: empty list\n";
     return false;
   }
   return true;
+}
+
+// Fresh keys one phase of `spec` can claim from the runner's key pool: one
+// per op when its mix inserts (every op may draw an insert), else none.
+// A runner serves every phase of a bench in turn, so the pool must cover
+// the sum over all of them; past its end the runner turns inserts into
+// updates (RunResult::insert_overflow).
+inline uint64_t insert_claims(const ycsb::WorkloadSpec& spec,
+                              uint64_t workers, uint64_t ops_per_worker) {
+  return spec.insert > 0 ? workers * ops_per_worker : 0;
 }
 
 // Parses a csv of positive integers ("6,12,24"). Returns false -- with a
@@ -128,12 +140,6 @@ inline bool parse_datasets(const std::string& spec,
     return false;
   }
   return true;
-}
-
-// The four systems of the paper's evaluation, in figure order.
-inline std::vector<ycsb::SystemKind> paper_systems() {
-  return {ycsb::SystemKind::kSphinx, ycsb::SystemKind::kSmart,
-          ycsb::SystemKind::kSmartC, ycsb::SystemKind::kArt};
 }
 
 // Standard background fault schedule for `--faults=<rate>` bench runs:

@@ -21,13 +21,16 @@
 //                     [--pipeline-depth=1] [--root-replicas=1]
 //                     [--json=out.json] [--mem-budget=<bytes per MN>]
 //
-// --mns takes a csv to sweep cluster widths in one invocation (the per-MN
-// heap is re-sized per width so the dataset always fits). --vnodes sets
-// the consistent-hash ring's virtual nodes per MN -- sweep it to measure
-// placement-balance sensitivity. --workload accepts one standard letter
-// (A-F, L) or "churn". --root-replicas=0 disables replica-routed root
-// reads in ART and Sphinx (the pre-replication hot-root behavior) for the
-// before/after knee comparison of DESIGN.md Sec. 15.
+// --systems takes ycsb::kSystemNames CLI names (the Sphinx ablations
+// included). --mns takes a csv to sweep cluster widths in one invocation
+// (the per-MN heap is re-sized per width so the dataset always fits).
+// --vnodes sets the consistent-hash ring's virtual nodes per MN -- sweep it
+// to measure placement-balance sensitivity. --workload accepts one
+// standard letter (A-F, L) or "churn". --root-replicas=0 disables
+// replica-routed root reads in ART and Sphinx (the pre-replication
+// hot-root behavior) for the before/after knee comparison of DESIGN.md
+// Sec. 15.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -108,6 +111,7 @@ void write_json(const std::string& path, const std::vector<KneePoint>& pts) {
     // contaminated by failures, not pure queueing.
     w.field("misses", r.misses);
     w.field("insert_failures", r.insert_failures);
+    w.field("insert_overflow", r.insert_overflow);
     w.field("alloc_failures", r.alloc_failures);
     w.field("alloc_underflows", r.alloc_underflows);
     w.field("client_crashes", r.client_crashes);
@@ -156,25 +160,10 @@ int run(int argc, char** argv) {
   // Systems: default is all five evaluated configurations (the four of the
   // paper's figures plus the SFC-ablated Sphinx).
   std::vector<ycsb::SystemKind> systems;
-  {
-    const std::string spec =
-        flags.get_string("systems", "sphinx,sphinx-nosfc,smart,smart+c,art");
-    std::stringstream ss(spec);
-    std::string token;
-    while (std::getline(ss, token, ',')) {
-      ycsb::SystemKind kind;
-      if (!parse_system(token, &kind)) {
-        std::cerr << "--systems: unknown system '" << token
-                  << "' (expected sphinx, sphinx-nosfc, smart, smart+c, "
-                  << "art)\n";
-        return 2;
-      }
-      systems.push_back(kind);
-    }
-    if (systems.empty()) {
-      std::cerr << "--systems: empty list\n";
-      return 2;
-    }
+  if (!parse_systems(
+          flags.get_string("systems", "sphinx,sphinx-nosfc,smart,smart+c,art"),
+          &systems)) {
+    return 2;
   }
   const std::string workload_tok = flags.get_string("workload", "A");
   flags.reject_unknown();
@@ -197,12 +186,16 @@ int run(int argc, char** argv) {
 
   std::vector<KneePoint> points;
   bool losses_seen = false;
+  // One runner serves every worker count in turn: the key pool covers the
+  // keys all of them can claim, and the warmup runs at the widest.
+  uint64_t pool = num_keys + 1024;
+  for (const uint32_t workers : worker_counts) {
+    pool += insert_claims(spec, workers, ops_per_worker);
+  }
+  const uint32_t max_workers =
+      *std::max_element(worker_counts.begin(), worker_counts.end());
 
   for (const ycsb::DatasetKind dataset : datasets) {
-    // Key pool: loaded keys + headroom for insert-drawing workloads at the
-    // widest concurrency.
-    const uint64_t pool =
-        num_keys + worker_counts.back() * ops_per_worker + 1024;
     const auto keys = ycsb::generate_keys(dataset, pool, 1);
     std::cout << "## dataset: " << ycsb::dataset_name(dataset) << "\n";
 
@@ -214,7 +207,7 @@ int run(int argc, char** argv) {
         config.num_cns = num_cns;
         config.num_mns = num_mns;
         config.vnodes_per_mn = vnodes;
-        auto cluster = make_cluster_with_config(config, pool, mem_budget);
+        auto cluster = make_cluster(pool, mem_budget, config);
         ycsb::SystemSetup setup(kind, *cluster,
                                 cache_budget_for(kind, num_keys));
         setup.set_root_replicas(root_replicas);
@@ -224,7 +217,7 @@ int run(int argc, char** argv) {
         // Warm CN-side caches once at full concurrency.
         {
           ycsb::RunOptions warm;
-          warm.workers = worker_counts.back();
+          warm.workers = max_workers;
           warm.ops_per_worker = 200;
           runner.run(ycsb::standard_workload('C'), warm);
         }
@@ -244,8 +237,9 @@ int run(int argc, char** argv) {
                TablePrinter::fmt_us(r.effective_percentile_ns(99)),
                TablePrinter::fmt_double(r.latency_stretch),
                TablePrinter::fmt_double(r.mn_msg_balance)});
-          if (r.insert_failures > 0 || r.alloc_failures > 0 ||
-              r.alloc_underflows > 0 || r.client_crashes > 0) {
+          if (r.insert_failures > 0 || r.insert_overflow > 0 ||
+              r.alloc_failures > 0 || r.alloc_underflows > 0 ||
+              r.client_crashes > 0) {
             losses_seen = true;
           }
           points.push_back({std::string(setup.name()),

@@ -1,9 +1,11 @@
 // Reproduces Fig. 4 of the paper: YCSB throughput (workloads A, B, C, D, E,
 // F and LOAD) on the u64 and email datasets for Sphinx, SMART (20 MB cache),
-// SMART+C (200 MB cache) and the ART baseline. --workloads also accepts a
-// csv mixing letters with "churn" (20/40/40 read/insert/remove), the
-// epoch-reclamation stress mix; --mem-budget shrinks the per-MN heap to
-// drive the allocator into degraded mode instead of crashing.
+// SMART+C (200 MB cache) and the ART baseline -- and Fig. 6, the MN-side
+// memory each system holds right after its load (inner nodes, leaves, hash
+// table). --workloads also accepts a csv mixing letters with "churn"
+// (20/40/40 read/insert/remove), the epoch-reclamation stress mix;
+// --mem-budget shrinks the per-MN heap to drive the allocator into degraded
+// mode instead of crashing.
 //
 // The paper loads 60 M keys on a 3x128 GB testbed; the default here is a
 // proportional scale-down that regenerates the figure's *shape* (who wins,
@@ -12,11 +14,17 @@
 // Usage:
 //   bench_ycsb [--keys=1000000] [--ops=600] [--workers=192]
 //              [--datasets=u64,email] [--workloads=ABCDEL] [--warmup=1]
+//              [--systems=sphinx,smart,smart+c,art]
 //              [--mem-budget=<bytes per MN>]
 //              [--faults=0.02] [--crash-rate=0.0001] [--fault-seed=42]
-//              [--json=out.json] [--trace=out.trace.json]
-//              [--pec-budget=<bytes>] [--no-pec]
-//              [--lac-budget=<bytes>] [--no-lac] [--no-scan-jump]
+//              [--json=out.json] [--trace=out.trace.json] [--no-scan-jump]
+//
+// --systems takes a csv of ycsb::kSystemNames CLI names. Besides the four
+// paper systems (the default) it runs the Sphinx cache-tier ablations:
+// sphinx-nosfc (INHT only: parallel reads of every prefix's hash entry),
+// sphinx-nopec (no prefix entry cache) and sphinx-nolac (no leaf address
+// cache, the pre-LAC configuration bit for bit). Each variant splits the
+// same CN cache budget across the tiers it keeps (ycsb/systems.cpp).
 //
 // --faults=<rate> installs the standard background fault schedule
 // (rdma/fault_injector.h) on the fabric for the measured phases: per-verb
@@ -39,13 +47,6 @@
 // every measured phase and writes a Chrome trace_event JSON on exit; open
 // it in chrome://tracing or Perfetto. One trace process per
 // (system, dataset, workload).
-// --pec-budget=<bytes> overrides the Sphinx prefix-entry-cache budget
-// (default: 25% of the CN cache budget); --no-pec disables the PEC,
-// reproducing the seed SFC-only configuration.
-// --lac-budget=<bytes> overrides the Sphinx leaf-address-cache budget
-// (default: 25% of the CN cache budget, carved from the filter's share);
-// --no-lac disables the LAC, reproducing the two-tier SFC+PEC
-// configuration bit for bit.
 // --pipeline-depth=<csv> runs every workload once per listed depth (e.g.
 // "1,8"). Depth 1 submits batches of one, with the serial client's
 // traffic; deeper runs keep N point ops in flight per worker
@@ -53,6 +54,7 @@
 // suffixed ":p<depth>" so JSON records and the regression gate keep
 // distinct keys. The Fig. 4 table shows the depth-1 (paper-comparable)
 // numbers; pipelined rows go to stderr and --json.
+#include <algorithm>
 #include <deque>
 #include <fstream>
 #include <iostream>
@@ -161,8 +163,12 @@ void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
     w.field("nic_utilization", res.nic_utilization);
     w.field("total_ops", res.total_ops);
     w.field("round_trips", res.net.round_trips);
+    w.field("messages", res.net.messages);
     w.field("misses", res.misses);
     w.field("insert_failures", res.insert_failures);
+    // Inserts the key pool could not serve, run as updates instead; the
+    // pool is sized so this stays zero.
+    w.field("insert_overflow", res.insert_overflow);
     w.field("client_crashes", res.client_crashes);
     // Churn/RMW op breakdown (nonzero only for workloads with remove/rmw
     // shares). remove_misses must be zero in fault-free, memory-ample runs.
@@ -215,6 +221,70 @@ void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
   out << "]\n";
 }
 
+// One Fig. 6 row: MN-side bytes a system's index holds right after load.
+struct MemoryRow {
+  uint64_t inner = 0;
+  uint64_t leaf = 0;
+  uint64_t table = 0;
+  uint64_t total() const { return inner + leaf + table; }
+
+  static MemoryRow of(mem::Cluster& cluster) {
+    const mem::AllocStats& stats = cluster.alloc_stats();
+    return {stats.requested_bytes(mem::AllocTag::kInnerNode),
+            stats.requested_bytes(mem::AllocTag::kLeaf),
+            stats.requested_bytes(mem::AllocTag::kHashTable)};
+  }
+};
+
+// Prints Fig. 6 for one dataset: each system's post-load MN memory, and the
+// paper's two headline ratios when their systems ran (the INHT's overhead
+// over plain ART, SMART's preallocation blowup over it).
+void print_memory_table(const std::vector<ycsb::SystemKind>& systems,
+                        const std::vector<MemoryRow>& rows, uint64_t keys) {
+  auto find = [&](ycsb::SystemKind kind) -> const MemoryRow* {
+    const auto it = std::find(systems.begin(), systems.end(), kind);
+    return it == systems.end() ? nullptr : &rows[it - systems.begin()];
+  };
+  const MemoryRow* art = find(ycsb::SystemKind::kArt);
+  const MemoryRow* sphinx = find(ycsb::SystemKind::kSphinx);
+  const MemoryRow* smart = find(ycsb::SystemKind::kSmart);
+  std::vector<std::string> header = {"system", "inner-nodes", "leaves",
+                                     "hash-table", "total"};
+  if (art != nullptr) header.push_back("vs-ART");
+  TablePrinter table(header);
+  for (size_t i = 0; i < systems.size(); ++i) {
+    const MemoryRow& row = rows[i];
+    std::vector<std::string> cells = {
+        ycsb::system_kind_name(systems[i]), TablePrinter::fmt_bytes(row.inner),
+        TablePrinter::fmt_bytes(row.leaf), TablePrinter::fmt_bytes(row.table),
+        TablePrinter::fmt_bytes(row.total())};
+    if (art != nullptr) {
+      cells.push_back(
+          TablePrinter::fmt_ratio(static_cast<double>(row.total()) /
+                                  static_cast<double>(art->total())));
+    }
+    table.add_row(cells);
+  }
+  std::cout << "### Fig. 6 -- MN-side memory after loading " << keys
+            << " key-value pairs (64 B values)\n";
+  table.print();
+  if (art != nullptr && sphinx != nullptr) {
+    std::cout << "inner-node-hash-table overhead vs ART: "
+              << TablePrinter::fmt_percent(
+                     static_cast<double>(sphinx->total()) /
+                         static_cast<double>(art->total()) -
+                     1.0)
+              << "  (paper: +3.3% u64 / +4.9% email)\n";
+  }
+  if (art != nullptr && smart != nullptr) {
+    std::cout << "SMART blowup vs ART: "
+              << TablePrinter::fmt_ratio(static_cast<double>(smart->total()) /
+                                         static_cast<double>(art->total()))
+              << "  (paper: 2.1-3.0x)\n";
+  }
+  std::cout << "\n";
+}
+
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
@@ -264,20 +334,29 @@ int run(int argc, char** argv) {
   // A/B switch: run Sphinx scans without the SFC/PEC entry jump (root
   // descents, like the baselines). Point ops keep their caches.
   const bool scan_jump = !flags.get_bool("no-scan-jump", false);
-  // PEC sizing: --no-pec wins, then an explicit --pec-budget in bytes,
-  // else the default 25% carve-out (ycsb::SystemSetup).
-  const uint64_t pec_flag = flags.get_u64("pec-budget", ycsb::kAutoPecBudget);
-  const uint64_t pec_budget = flags.get_bool("no-pec", false) ? 0 : pec_flag;
-  // LAC sizing, same precedence: --no-lac wins, then --lac-budget, else
-  // the default 25% carve-out.
-  const uint64_t lac_flag = flags.get_u64("lac-budget", ycsb::kAutoLacBudget);
-  const uint64_t lac_budget = flags.get_bool("no-lac", false) ? 0 : lac_flag;
+  std::vector<ycsb::SystemKind> systems;
+  if (!parse_systems(flags.get_string("systems", "sphinx,smart,smart+c,art"),
+                     &systems)) {
+    return 2;
+  }
   // Pipeline depths to sweep, comma-separated (default: serial only).
   std::vector<uint32_t> depths;
   const std::string depths_flag = flags.get_string("pipeline-depth", "1");
   flags.reject_unknown();
   if (!parse_u32_list("pipeline-depth", depths_flag, &depths)) {
     return 2;
+  }
+  auto ops_for = [ops_per_worker](const std::string& tok) {
+    return tok == "E" || tok == "e"
+               ? std::max<uint64_t>(ops_per_worker / 10, 50)
+               : ops_per_worker;
+  };
+  // Key pool: the loaded keys plus every key the measured phases can claim
+  // (the warmup is read-only).
+  uint64_t pool = num_keys + 1024;
+  for (const std::string& wtok : workload_tokens) {
+    pool += depths.size() *
+            insert_claims(spec_for(wtok), workers, ops_for(wtok));
   }
   std::vector<JsonRecord> json_records;
   // One recorder per measured (system, dataset, workload) phase; deque for
@@ -297,23 +376,29 @@ int run(int argc, char** argv) {
   std::cout << "\n";
 
   for (const ycsb::DatasetKind dataset : datasets) {
-    // Key pool: loaded keys + headroom for insert-heavy workloads.
-    const uint64_t pool = num_keys + workers * ops_per_worker + 1024;
     const auto keys = ycsb::generate_keys(dataset, pool, 1);
 
-    TablePrinter table({"workload", "Sphinx", "SMART", "SMART+C", "ART",
-                        "best-vs-ART"});
-    std::vector<std::vector<double>> tput(workload_tokens.size(),
-                                          std::vector<double>(4, 0.0));
+    std::vector<std::string> header = {"workload"};
+    for (const ycsb::SystemKind kind : systems) {
+      header.push_back(ycsb::system_kind_name(kind));
+    }
+    const auto art_it =
+        std::find(systems.begin(), systems.end(), ycsb::SystemKind::kArt);
+    const bool vs_art = art_it != systems.end() && systems.size() > 1;
+    if (vs_art) header.push_back("best-vs-ART");
+    TablePrinter table(header);
+    std::vector<std::vector<double>> tput(
+        workload_tokens.size(), std::vector<double>(systems.size(), 0.0));
+    std::vector<MemoryRow> memory;
 
-    int sys_col = 0;
-    for (const ycsb::SystemKind kind : paper_systems()) {
-      auto cluster = make_cluster(pool, /*batching=*/true, mem_budget);
-      ycsb::SystemSetup setup(kind, *cluster, cache_budget_for(kind, num_keys),
-                              pec_budget, lac_budget);
+    size_t sys_col = 0;
+    for (const ycsb::SystemKind kind : systems) {
+      auto cluster = make_cluster(pool, mem_budget);
+      ycsb::SystemSetup setup(kind, *cluster, cache_budget_for(kind, num_keys));
       setup.set_scan_jump(scan_jump);
       ycsb::YcsbRunner runner(*cluster, setup.factory(), keys);
       runner.load(num_keys, 64);
+      memory.push_back(MemoryRow::of(*cluster));
       std::cerr << "[" << ycsb::dataset_name(dataset) << "] loaded "
                 << setup.name() << "\n";
 
@@ -340,17 +425,14 @@ int run(int argc, char** argv) {
       runner.set_per_worker_hook(
           [&recovery_agg](KvIndex& index, uint32_t) { recovery_agg.add(index); });
 
-      int row = 0;
+      size_t row = 0;
       for (const std::string& wtok : workload_tokens) {
         for (const uint32_t depth : depths) {
         recovery_agg.reset();
         ycsb::RunOptions options;
         options.workers = workers;
         options.pipeline_depth = depth;
-        options.ops_per_worker =
-            (wtok == "E" || wtok == "e")
-                ? std::max<uint64_t>(ops_per_worker / 10, 50)
-                : ops_per_worker;
+        options.ops_per_worker = ops_for(wtok);
         if (!trace_path.empty()) {
           trace_recorders.emplace_back();
           options.trace = &trace_recorders.back();
@@ -382,8 +464,7 @@ int run(int argc, char** argv) {
         // The Fig. 4 comparison table keeps the first-listed depth
         // (normally 1, the paper-comparable serial client).
         if (depth == depths.front()) {
-          tput[static_cast<size_t>(row)][static_cast<size_t>(sys_col)] =
-              result.ops_per_sec;
+          tput[row][sys_col] = result.ops_per_sec;
         }
         std::cerr << "  " << result.workload << ": "
                   << TablePrinter::fmt_mops(result.ops_per_sec) << " ("
@@ -448,19 +529,25 @@ int run(int argc, char** argv) {
       sys_col++;
     }
 
-    int row = 0;
+    size_t row = 0;
     for (const std::string& wtok : workload_tokens) {
-      const auto& r = tput[static_cast<size_t>(row)];
-      const double best = std::max({r[0], r[1], r[2]});
-      table.add_row({spec_for(wtok).name,
-                     TablePrinter::fmt_mops(r[0]), TablePrinter::fmt_mops(r[1]),
-                     TablePrinter::fmt_mops(r[2]), TablePrinter::fmt_mops(r[3]),
-                     r[3] > 0 ? TablePrinter::fmt_ratio(best / r[3]) : "-"});
-      row++;
+      const std::vector<double>& r = tput[row++];
+      std::vector<std::string> cells = {spec_for(wtok).name};
+      double best = 0.0;
+      for (size_t i = 0; i < r.size(); ++i) {
+        cells.push_back(TablePrinter::fmt_mops(r[i]));
+        if (systems[i] != ycsb::SystemKind::kArt) best = std::max(best, r[i]);
+      }
+      if (vs_art) {
+        const double art = r[static_cast<size_t>(art_it - systems.begin())];
+        cells.push_back(art > 0 ? TablePrinter::fmt_ratio(best / art) : "-");
+      }
+      table.add_row(cells);
     }
     std::cout << "## dataset: " << ycsb::dataset_name(dataset) << "\n";
     table.print();
     std::cout << "\n";
+    print_memory_table(systems, memory, num_keys);
   }
   if (!json_path.empty()) {
     write_json(json_path, json_records);

@@ -184,9 +184,7 @@ RemoteTree::DescendStep RemoteTree::descend_step(const TerminatedKey& key,
     return DescendStep::kDone;
   }
   PathEntry& cur = d.path.back();
-  endpoint_.advance_local(
-      config_.local_ns_per_node +
-      static_cast<uint64_t>(cur.image.size_bytes() / config_.cpu_bytes_per_ns));
+  endpoint_.advance_local(rdma::node_parse_ns(cur.image.size_bytes()));
 
   if (cur.image.status() == NodeStatus::kInvalid) {
     stats_.invalid_node_retries++;
@@ -1473,9 +1471,7 @@ void RemoteTree::expand_into_frontier(rdma::GlobalAddr addr,
                                       const TerminatedKey* high,
                                       bool lo_bounded, bool hi_bounded,
                                       size_t at, uint32_t prefix_id) {
-  endpoint_.advance_local(
-      config_.local_ns_per_node +
-      static_cast<uint64_t>(node.size_bytes() / config_.cpu_bytes_per_ns));
+  endpoint_.advance_local(rdma::node_parse_ns(node.size_bytes()));
   const uint32_t depth = node.depth();
   if (depth > 0) on_scan_inner(addr, node);
 

@@ -80,11 +80,6 @@ struct TreeConfig {
   uint32_t max_leaf_reread = 8;
   // Backoff pacing between op retries (the budget is max_op_retries).
   rdma::RetryPolicyConfig retry;
-  // CPU charge for parsing/processing one node (fetched or cache-hit),
-  // plus a per-byte term (copy + parse bandwidth): processing a 2 KiB
-  // Node-256 image costs real CN cycles that a 56 B Node-4 does not.
-  uint64_t local_ns_per_node = 60;
-  double cpu_bytes_per_ns = 10.0;
 };
 
 struct TreeStats {

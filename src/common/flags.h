@@ -70,8 +70,6 @@ class Flags {
     return it == values_.end() ? def : it->second;
   }
 
-  const std::string& program() const { return program_; }
-
   // Exits 2 naming every flag that no get_* call has read.
   void reject_unknown() const {
     bool unknown = false;

@@ -54,8 +54,6 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  bool next_bool(double p_true) { return next_double() < p_true; }
-
  private:
   static constexpr uint64_t rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

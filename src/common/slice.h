@@ -40,12 +40,6 @@ class Slice {
     return Slice(data_, n < size_ ? n : size_);
   }
 
-  // Drops the first `n` bytes (clamped).
-  Slice suffix_from(size_t n) const noexcept {
-    if (n >= size_) return Slice(data_ + size_, 0);
-    return Slice(data_ + n, size_ - n);
-  }
-
   std::string to_string() const { return std::string(data_, size_); }
   std::string_view view() const noexcept {
     return std::string_view(data_, size_);

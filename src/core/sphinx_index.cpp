@@ -17,14 +17,16 @@ SphinxIndex::SphinxIndex(mem::Cluster& cluster, rdma::Endpoint& endpoint,
                          const SphinxRefs& refs, filter::CuckooFilter* filter,
                          filter::PrefixEntryCache* pec,
                          filter::LeafAddressCache* lac,
-                         const SphinxConfig& config)
-    : RemoteTree(cluster, endpoint, allocator, refs.tree, config.tree),
+                         const art::TreeConfig& config)
+    : RemoteTree(cluster, endpoint, allocator, refs.tree, config),
       inht_(cluster, endpoint, allocator, refs.inht),
       filter_(filter),
       pec_(pec),
       lac_(lac),
-      config_(config),
-      round_(endpoint) {}
+      round_(endpoint) {
+  assert((filter_ != nullptr || (pec_ == nullptr && lac_ == nullptr)) &&
+         "a PEC or LAC needs the filter");
+}
 
 bool SphinxIndex::search(Slice key, std::string* value_out) {
   // The speculative leaf read dereferences a cached remote address with no
@@ -81,7 +83,7 @@ SphinxIndex::StagedOutcome SphinxIndex::run_staged(BatchOp* ops,
     uint64_t payload = 0;
     if (lac_ != nullptr) {
       s.full_hash = tkey.hash_of_prefix(tkey.size());
-      endpoint_.advance_local(config_.lac_probe_ns);
+      endpoint_.advance_local(rdma::kLacProbeNs);
       s.hot = false;
       if (lac_->lookup(s.full_hash, &payload, &s.hot)) {
         sstats_.lac_hits++;
@@ -104,13 +106,11 @@ SphinxIndex::StagedOutcome SphinxIndex::run_staged(BatchOp* ops,
     std::vector<uint64_t>& hashes = s.walk.hashes;
     hashes.resize(max_len + 1);
     for (uint32_t l = 1; l <= max_len; ++l) hashes[l] = tkey.hash_of_prefix(l);
-    endpoint_.advance_local(config_.prefix_hash_ns * max_len);
+    endpoint_.advance_local(rdma::kPrefixHashNs * max_len);
     for (uint32_t l = max_len; l >= 1; --l) {
-      if (filter_ != nullptr) {
-        endpoint_.advance_local(config_.filter_probe_ns);
-        if (!filter_->contains(hashes[l])) continue;
-      }
-      endpoint_.advance_local(config_.pec_probe_ns);
+      endpoint_.advance_local(rdma::kFilterProbeNs);
+      if (!filter_->contains(hashes[l])) continue;
+      endpoint_.advance_local(rdma::kPecProbeNs);
       uint64_t p = 0;
       bool inner_hot = false;
       if (!pec_->lookup(hashes[l], &p, &inner_hot)) continue;
@@ -194,7 +194,7 @@ SphinxIndex::StagedOutcome SphinxIndex::run_staged(BatchOp* ops,
 }
 
 void SphinxIndex::begin_attempt(BatchSlot& s) {
-  s.policy.emplace(endpoint_, RemoteTree::config_.retry, &stats_.backoff);
+  s.policy.emplace(endpoint_, config_.retry, &stats_.backoff);
   s.allow_custom = true;
   s.next_attempt = 1;
   // Attempt 0's backoff is free; a zero attempt budget times the op out
@@ -397,9 +397,8 @@ void SphinxIndex::begin_walk(StartWalk& w, const art::TerminatedKey& key,
   // Hash every candidate prefix locally (lengths 1 .. max_len).
   w.hashes.resize(max_len + 1);
   for (uint32_t l = 1; l <= max_len; ++l) w.hashes[l] = key.hash_of_prefix(l);
-  endpoint_.advance_local(config_.prefix_hash_ns * max_len);
-  w.step = filter_ != nullptr || pec_ != nullptr ? Step::kScan
-                                                 : Step::kParallel;
+  endpoint_.advance_local(rdma::kPrefixHashNs * max_len);
+  w.step = filter_ != nullptr ? Step::kScan : Step::kParallel;
 }
 
 bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
@@ -415,16 +414,14 @@ bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
           continue;
         }
         const uint64_t hash = w.hashes[w.len];
-        if (filter_ != nullptr) {
-          endpoint_.advance_local(config_.filter_probe_ns);
-          if (!filter_->contains(hash)) {
-            w.len--;
-            continue;
-          }
-          sstats_.filter_hits++;
+        endpoint_.advance_local(rdma::kFilterProbeNs);
+        if (!filter_->contains(hash)) {
+          w.len--;
+          continue;
         }
+        sstats_.filter_hits++;
         if (pec_ != nullptr) {
-          endpoint_.advance_local(config_.pec_probe_ns);
+          endpoint_.advance_local(rdma::kPecProbeNs);
           bool hot = false;
           if (pec_->lookup(hash, &w.pec_payload, &hot)) {
             sstats_.pec_hits++;
@@ -448,13 +445,6 @@ bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
               w.step = Step::kPecRead;
             }
             return true;
-          }
-          if (filter_ == nullptr) {
-            // PEC-only ablation (no filter): the entry cache doubles as
-            // the existence hint. Misses cost nothing remotely; the
-            // parallel INHT read stays the backstop.
-            w.len--;
-            continue;
           }
         }
         w.inht_attempt = 0;
@@ -631,7 +621,7 @@ void SphinxIndex::walk_missed(StartWalk& w) {
   }
   // False positive (or stale entry): retry with a shorter prefix, as in
   // the paper's false-positive recovery.
-  if (filter_ != nullptr) sstats_.fp_rejects++;
+  sstats_.fp_rejects++;
   w.step = StartWalk::Step::kScan;
 }
 

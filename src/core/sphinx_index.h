@@ -35,18 +35,6 @@
 
 namespace sphinx::core {
 
-// Each CN cache tier (filter, PEC, LAC) is off exactly when the
-// SphinxIndex constructor receives a null pointer for it; cold PEC and LAC
-// hits always hedge with doorbell fusion (run_staged(), post_walk()).
-struct SphinxConfig {
-  // CPU cost model for the CN-local work unique to Sphinx.
-  uint64_t filter_probe_ns = 15;
-  uint64_t pec_probe_ns = 15;
-  uint64_t lac_probe_ns = 15;
-  uint64_t prefix_hash_ns = 25;
-  art::TreeConfig tree;
-};
-
 // Shared bootstrap state for one Sphinx instance (tree + per-MN INHT).
 struct SphinxRefs {
   art::TreeRef tree;
@@ -134,13 +122,16 @@ class SphinxIndex final : public art::RemoteTree {
   // this compute node; pass nullptr to run INHT-only. `pec` is the CN-wide
   // prefix entry cache, likewise shared and likewise optional, and `lac` is
   // the CN-wide leaf address cache -- the third tier, same sharing and
-  // optionality. A null pointer is the one off-switch for each tier.
+  // optionality. A null pointer is the one off-switch for each tier, and a
+  // PEC or LAC requires the filter: the start walk probes the PEC only at
+  // prefix lengths the filter admits. Cold PEC and LAC hits always hedge
+  // with doorbell fusion (run_staged(), post_walk()).
   SphinxIndex(mem::Cluster& cluster, rdma::Endpoint& endpoint,
               mem::RemoteAllocator& allocator, const SphinxRefs& refs,
               filter::CuckooFilter* filter,
               filter::PrefixEntryCache* pec = nullptr,
               filter::LeafAddressCache* lac = nullptr,
-              const SphinxConfig& config = SphinxConfig());
+              const art::TreeConfig& config = art::TreeConfig());
 
   const char* name() const override { return "Sphinx"; }
 
@@ -181,11 +172,11 @@ class SphinxIndex final : public art::RemoteTree {
   void on_scan_inner(rdma::GlobalAddr addr,
                      const art::InnerImage& image) override {
     if (filter_ != nullptr) {
-      endpoint_.advance_local(config_.filter_probe_ns);
+      endpoint_.advance_local(rdma::kFilterProbeNs);
       filter_->insert(image.prefix_hash_full());
     }
     if (pec_ != nullptr) {
-      endpoint_.advance_local(config_.pec_probe_ns);
+      endpoint_.advance_local(rdma::kPecProbeNs);
       pec_->insert(image.prefix_hash_full(),
                    pack_inht_payload(image.type(), addr));
     }
@@ -198,7 +189,7 @@ class SphinxIndex final : public art::RemoteTree {
     // "the client updates the succinct filter cache for any prefixes not
     // present in the cache").
     if (filter_ != nullptr && entry.image.depth() > 0) {
-      endpoint_.advance_local(config_.filter_probe_ns);
+      endpoint_.advance_local(rdma::kFilterProbeNs);
       filter_->insert(entry.image.prefix_hash_full());
     }
   }
@@ -256,7 +247,7 @@ class SphinxIndex final : public art::RemoteTree {
   void note_leaf_at(Slice terminated_key, rdma::GlobalAddr addr,
                     uint32_t units) override {
     if (lac_ == nullptr) return;
-    endpoint_.advance_local(config_.lac_probe_ns);
+    endpoint_.advance_local(rdma::kLacProbeNs);
     lac_->insert(art::prefix_hash(terminated_key),
                  filter::pack_lac_payload(units, addr.to48()));
   }
@@ -267,7 +258,7 @@ class SphinxIndex final : public art::RemoteTree {
   void note_leaf_retired(Slice terminated_key,
                          rdma::GlobalAddr addr) override {
     if (lac_ == nullptr) return;
-    endpoint_.advance_local(config_.lac_probe_ns);
+    endpoint_.advance_local(rdma::kLacProbeNs);
     lac_->invalidate_if(art::prefix_hash(terminated_key), addr.to48());
   }
 
@@ -425,7 +416,6 @@ class SphinxIndex final : public art::RemoteTree {
   filter::CuckooFilter* filter_;
   filter::PrefixEntryCache* pec_;
   filter::LeafAddressCache* lac_;
-  SphinxConfig config_;
   SphinxStats sstats_;
   StartWalk walk_;  // start_search()'s walk
   // The doorbell every staged step posts into, reused across rounds.

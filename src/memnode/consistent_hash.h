@@ -34,8 +34,6 @@ class ConsistentHashRing {
     return it->mn;
   }
 
-  size_t num_points() const { return points_.size(); }
-
  private:
   struct Point {
     uint64_t position;

@@ -100,33 +100,6 @@ void DoorbellBatch::execute() {
   Fabric& fabric = ep.fabric_;
   const NetworkConfig& cfg = fabric.config();
 
-  if (!ep.batching_enabled() && ops_.size() > 1) {
-    // Ablation A2: no doorbell batching -- each verb is its own round trip,
-    // issued sequentially (the client waits for each completion).
-    for (Op& op : ops_) {
-      apply_one(op);
-      switch (op.type) {
-        case OpType::kRead:
-          ep.charge_single(op.addr.mn(), op.len, true);
-          if (ep.metered_) ep.stats_.reads++;
-          break;
-        case OpType::kWrite:
-          ep.charge_single(op.addr.mn(), op.len, false);
-          if (ep.metered_) ep.stats_.writes++;
-          break;
-        case OpType::kCas:
-          ep.charge_single(op.addr.mn(), 8, false);
-          if (ep.metered_) ep.stats_.cas++;
-          break;
-        case OpType::kFaa:
-          ep.charge_single(op.addr.mn(), 8, false);
-          if (ep.metered_) ep.stats_.faa++;
-          break;
-      }
-    }
-    return;
-  }
-
   // Memory effects apply in post order regardless of metering.
   for (Op& op : ops_) apply_one(op);
 

@@ -56,8 +56,7 @@ class DoorbellBatch {
   size_t size() const { return ops_.size(); }
   bool empty() const { return ops_.empty(); }
 
-  // Issues the batch: one round trip when doorbell batching is enabled,
-  // otherwise one per verb. Memory effects apply in post order.
+  // Issues the batch as one round trip. Memory effects apply in post order.
   void execute();
 
   // Post-execute result queries.
@@ -174,7 +173,6 @@ class Endpoint {
   // ---- introspection ------------------------------------------------------
 
   const EndpointStats& stats() const { return stats_; }
-  EndpointStats& mutable_stats() { return stats_; }
 
   // ---- RTT attribution & tracing ------------------------------------------
 
@@ -197,9 +195,6 @@ class Endpoint {
   Fabric& fabric() { return fabric_; }
   uint32_t cn() const { return cn_; }
   bool metered() const { return metered_; }
-  bool batching_enabled() const {
-    return fabric_.config().doorbell_batching;
-  }
 
   // ---- fault injection ----------------------------------------------------
 

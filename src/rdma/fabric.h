@@ -1,7 +1,9 @@
-// The simulated RDMA fabric: memory-node regions plus the shared NIC
-// clocks. Endpoints (one per client/worker) issue one-sided verbs against
-// it; see endpoint.h. An optional FaultInjector (fault_injector.h) can be
-// installed to perturb every metered verb with deterministic faults.
+// The simulated RDMA fabric: the memory-node regions and the cost model.
+// Endpoints (one per client/worker) issue one-sided verbs against it and
+// charge their own virtual clocks; see endpoint.h. NIC queueing is applied
+// afterwards by the YCSB runner's fluid capacity model, so the fabric holds
+// no shared clock state. An optional FaultInjector (fault_injector.h) can
+// be installed to perturb every metered verb with deterministic faults.
 #pragma once
 
 #include <atomic>
@@ -13,7 +15,6 @@
 #include "rdma/global_addr.h"
 #include "rdma/memory_region.h"
 #include "rdma/network_config.h"
-#include "rdma/nic_clock.h"
 
 namespace sphinx::rdma {
 
@@ -28,8 +29,6 @@ class Fabric {
     for (uint32_t i = 0; i < config.num_mns; ++i) {
       regions_.push_back(std::make_unique<MemoryRegion>(mn_size_bytes));
     }
-    mn_nics_ = std::make_unique<NicClock[]>(config.num_mns);
-    cn_nics_ = std::make_unique<NicClock[]>(config.num_cns);
   }
 
   const NetworkConfig& config() const { return config_; }
@@ -44,29 +43,6 @@ class Fabric {
     return *regions_[mn];
   }
 
-  NicClock& mn_nic(uint32_t mn) {
-    assert(mn < config_.num_mns);
-    return mn_nics_[mn];
-  }
-  NicClock& cn_nic(uint32_t cn) {
-    assert(cn < config_.num_cns);
-    return cn_nics_[cn];
-  }
-
-  // Resets all NIC virtual clocks (between benchmark phases) without
-  // touching memory contents.
-  void reset_clocks() {
-    for (uint32_t i = 0; i < config_.num_mns; ++i) mn_nics_[i].reset();
-    for (uint32_t i = 0; i < config_.num_cns; ++i) cn_nics_[i].reset();
-  }
-
-  // Total MN-side bytes provisioned (for memory-usage reporting).
-  uint64_t total_region_bytes() const {
-    uint64_t total = 0;
-    for (const auto& r : regions_) total += r->size();
-    return total;
-  }
-
   // Installs (or removes, with nullptr) a fault injector consulted by every
   // metered verb. Non-owning; the injector must outlive its installation.
   void set_fault_injector(FaultInjector* injector) {
@@ -79,8 +55,6 @@ class Fabric {
  private:
   NetworkConfig config_;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
-  std::unique_ptr<NicClock[]> mn_nics_;
-  std::unique_ptr<NicClock[]> cn_nics_;
   std::atomic<FaultInjector*> fault_injector_{nullptr};
 };
 

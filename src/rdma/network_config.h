@@ -3,8 +3,10 @@
 // The paper's testbed: 3 machines, each hosting one CN and one MN, connected
 // by 2x100 Gbps ConnectX-6 NICs with ~2 us one-sided latency. Our model
 // charges every verb (a) a base round-trip latency, (b) per-byte time from
-// link bandwidth, and (c) per-message NIC processing time that is *shared*
-// across all clients targeting the same NIC -- this last term is what makes
+// link bandwidth, and (c) per-message NIC processing time. Each client's
+// virtual clock is charged the unloaded cost only; the YCSB runner then
+// applies queueing analytically from every NIC's aggregate service demand
+// (the fluid capacity model, DESIGN.md Sec. 2), which is what makes
 // message-hungry indexes (tree traversal, multi-entry hash reads) saturate
 // first, reproducing the paper's Fig. 5 shape.
 #pragma once
@@ -34,7 +36,7 @@ struct NetworkConfig {
   uint64_t post_verb_ns = 80;
 
   // Number of compute-node NICs (paper: 3 CNs) and memory-node NICs
-  // (paper: 3 MNs). Used to size the shared NIC clocks.
+  // (paper: 3 MNs).
   uint32_t num_cns = 3;
   uint32_t num_mns = 3;
 
@@ -48,15 +50,25 @@ struct NetworkConfig {
   // QP error surfaced) when its target MN is unreachable; charged per
   // rejected verb under fault injection before the endpoint reissues it.
   uint64_t verb_timeout_ns = 8000;
-
-  // When false, every verb in a doorbell batch is issued as its own
-  // round trip (ablation A2). The default mirrors the paper: one batch ==
-  // one round trip.
-  bool doorbell_batching = true;
-
-  // When true, verbs are charged to virtual clocks. Setup/bootstrap code
-  // runs with metering off so load phases don't distort measurements.
-  bool metered = true;
 };
+
+// CN-local CPU costs, charged to a client's virtual clock through
+// Endpoint::advance_local. These are hand-set estimates, not host
+// measurements; this table is what a calibration against measured probe
+// and parse times would replace.
+inline constexpr uint64_t kFilterProbeNs = 15;  // one SFC lookup or insert
+inline constexpr uint64_t kPecProbeNs = 15;     // one prefix entry cache probe
+inline constexpr uint64_t kLacProbeNs = 15;     // one leaf address cache probe
+inline constexpr uint64_t kPrefixHashNs = 25;   // hashing one key prefix
+// Parsing one tree node image (fetched or cache-hit): a fixed cost plus a
+// per-byte copy/parse term, so a 2 KiB Node-256 costs real CN cycles that a
+// 56 B Node-4 does not.
+inline constexpr uint64_t kNodeParseNs = 60;
+inline constexpr double kNodeParseBytesPerNs = 10.0;
+
+inline constexpr uint64_t node_parse_ns(uint64_t node_bytes) {
+  return kNodeParseNs +
+         static_cast<uint64_t>(node_bytes / kNodeParseBytesPerNs);
+}
 
 }  // namespace sphinx::rdma

@@ -51,7 +51,6 @@ void YcsbRunner::load(uint64_t count, uint32_t value_size, uint32_t workers) {
 RunResult YcsbRunner::run(const WorkloadSpec& spec, const RunOptions& options) {
   RunResult result;
   result.workload = spec.name;
-  cluster_.fabric().reset_clocks();
 
   const uint64_t n0 = visible_.load(std::memory_order_relaxed);
   const uint32_t num_cns = cluster_.config().num_cns;

@@ -3,12 +3,14 @@
 // Worker model: the paper drives each system with coroutine workers spread
 // over 3 CNs; here every worker is an OS thread owning one Endpoint (its
 // virtual clock plays the coroutine's timeline) and one index client
-// produced by the caller's factory. Shared NIC clocks couple the workers'
-// virtual timelines, so adding workers saturates the fabric exactly like
-// adding coroutines saturates the real NICs.
+// produced by the caller's factory. Worker timelines stay independent and
+// carry unloaded costs only; after the join, the fluid capacity model
+// stretches the phase by the busiest NIC's utilization (DESIGN.md Sec. 2),
+// so adding workers saturates the fabric like adding coroutines saturates
+// the real NICs.
 //
-// Reported throughput = total ops / max worker virtual time; latency
-// histograms aggregate per-op virtual durations.
+// Reported throughput = total ops / stretched makespan; latency histograms
+// aggregate per-op virtual durations (see RunResult).
 #pragma once
 
 #include <atomic>
@@ -187,7 +189,7 @@ class YcsbRunner {
   // Bulk-loads keys[0, count) with `workers` parallel unmetered clients.
   void load(uint64_t count, uint32_t value_size, uint32_t workers = 8);
 
-  // Runs one workload phase. NIC clocks are reset at phase start.
+  // Runs one workload phase.
   RunResult run(const WorkloadSpec& spec, const RunOptions& options);
 
   void set_per_worker_hook(PerWorkerHook hook) { hook_ = std::move(hook); }

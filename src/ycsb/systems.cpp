@@ -6,74 +6,76 @@
 namespace sphinx::ycsb {
 
 const char* system_kind_name(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kSphinx:
-      return "Sphinx";
-    case SystemKind::kSphinxNoFilter:
-      return "Sphinx-NoSFC";
-    case SystemKind::kSmart:
-      return "SMART";
-    case SystemKind::kSmartC:
-      return "SMART+C";
-    case SystemKind::kArt:
-      return "ART";
+  for (const SystemName& n : kSystemNames) {
+    if (n.kind == kind) return n.display;
   }
   return "?";
 }
 
+bool parse_system_kind(const std::string& name, SystemKind* out) {
+  for (const SystemName& n : kSystemNames) {
+    if (name == n.cli || name == n.display) {
+      *out = n.kind;
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+// How each Sphinx variant splits the CN cache budget, in percent: filter
+// (SFC), prefix entry cache, leaf address cache. About 5% stays reserved
+// for the INHT directory caches (the paper sizes those at 2-5% of the
+// filter budget), and a tier a variant turns off hands its slice to the
+// filter -- except in NoSFC, the pure-INHT baseline, which has no tiers.
+// A tier with a zero share is off (null pointer in SphinxIndex).
+struct TierShares {
+  uint64_t sfc = 0;
+  uint64_t pec = 0;
+  uint64_t lac = 0;
+};
+
+TierShares sphinx_tier_shares(SystemKind kind) {
+  switch (kind) {
+    case SystemKind::kSphinx:
+      return {45, 25, 25};
+    case SystemKind::kSphinxNoPec:
+      return {70, 0, 25};
+    case SystemKind::kSphinxNoLac:
+      return {70, 25, 0};
+    default:
+      return {};
+  }
+}
+
+}  // namespace
+
 SystemSetup::SystemSetup(SystemKind kind, mem::Cluster& cluster,
-                         uint64_t cache_budget_bytes,
-                         uint64_t pec_budget_bytes,
-                         uint64_t lac_budget_bytes)
+                         uint64_t cache_budget_bytes)
     : kind_(kind), cluster_(cluster), name_(system_kind_name(kind)) {
   const uint32_t num_cns = cluster.config().num_cns;
   switch (kind) {
-    case SystemKind::kSphinx: {
+    case SystemKind::kSphinx:
+    case SystemKind::kSphinxNoFilter:
+    case SystemKind::kSphinxNoPec:
+    case SystemKind::kSphinxNoLac: {
       sphinx_refs_ = std::make_unique<core::SphinxRefs>(
           core::create_sphinx(cluster));
-      tree_ref_ = sphinx_refs_->tree;
-      // Split one CN cache budget across the three tiers: by default the
-      // filter keeps 45%, the prefix entry cache takes 25%, the leaf
-      // address cache takes 25%, and ~5% stays reserved for the INHT
-      // directory caches (the paper sizes those at 2-5% of the filter
-      // budget). Each cache's slice returns to the filter when that tier
-      // is disabled, so --no-lac reproduces the pre-LAC 70/25 split (and
-      // --no-lac --no-pec the seed's 95%) bit for bit.
-      const uint64_t pec_bytes = pec_budget_bytes == kAutoPecBudget
-                                     ? cache_budget_bytes * 25 / 100
-                                     : pec_budget_bytes;
-      const uint64_t lac_bytes = lac_budget_bytes == kAutoLacBudget
-                                     ? cache_budget_bytes * 25 / 100
-                                     : lac_budget_bytes;
-      const uint64_t filter_share =
-          95 - (pec_bytes > 0 ? 25 : 0) - (lac_bytes > 0 ? 25 : 0);
-      const uint64_t filter_bytes = cache_budget_bytes * filter_share / 100;
+      const TierShares shares = sphinx_tier_shares(kind);
       for (uint32_t cn = 0; cn < num_cns; ++cn) {
-        filters_.push_back(filter::CuckooFilter::with_budget(filter_bytes));
-        if (pec_bytes > 0) {
-          pecs_.push_back(filter::PrefixEntryCache::with_budget(pec_bytes));
+        if (shares.sfc > 0) {
+          filters_.push_back(filter::CuckooFilter::with_budget(
+              cache_budget_bytes * shares.sfc / 100));
         }
-        if (lac_bytes > 0) {
-          lacs_.push_back(filter::LeafAddressCache::with_budget(lac_bytes));
+        if (shares.pec > 0) {
+          pecs_.push_back(filter::PrefixEntryCache::with_budget(
+              cache_budget_bytes * shares.pec / 100));
         }
-      }
-      break;
-    }
-    case SystemKind::kSphinxNoFilter: {
-      sphinx_refs_ = std::make_unique<core::SphinxRefs>(
-          core::create_sphinx(cluster));
-      tree_ref_ = sphinx_refs_->tree;
-      // Auto means "pure INHT" here (the A1 ablation baseline); an explicit
-      // budget yields the PEC-only (or PEC+LAC) variant of the ablation.
-      const uint64_t pec_bytes =
-          pec_budget_bytes == kAutoPecBudget ? 0 : pec_budget_bytes;
-      const uint64_t lac_bytes =
-          lac_budget_bytes == kAutoLacBudget ? 0 : lac_budget_bytes;
-      for (uint32_t cn = 0; cn < num_cns && pec_bytes > 0; ++cn) {
-        pecs_.push_back(filter::PrefixEntryCache::with_budget(pec_bytes));
-      }
-      for (uint32_t cn = 0; cn < num_cns && lac_bytes > 0; ++cn) {
-        lacs_.push_back(filter::LeafAddressCache::with_budget(lac_bytes));
+        if (shares.lac > 0) {
+          lacs_.push_back(filter::LeafAddressCache::with_budget(
+              cache_budget_bytes * shares.lac / 100));
+        }
       }
       break;
     }
@@ -101,27 +103,22 @@ SystemSetup::SystemSetup(SystemKind kind, mem::Cluster& cluster,
 std::unique_ptr<KvIndex> SystemSetup::make_client(
     uint32_t cn, rdma::Endpoint& endpoint, mem::RemoteAllocator& allocator) {
   switch (kind_) {
-    case SystemKind::kSphinx: {
-      core::SphinxConfig config;
-      config.tree.scan_jump = scan_jump_;
-      config.tree.replicate_root = root_replicas_;
+    case SystemKind::kSphinx:
+    case SystemKind::kSphinxNoFilter:
+    case SystemKind::kSphinxNoPec:
+    case SystemKind::kSphinxNoLac: {
+      art::TreeConfig config;
+      config.scan_jump = scan_jump_;
+      config.replicate_root = root_replicas_;
       return std::make_unique<core::SphinxIndex>(
-          cluster_, endpoint, allocator, *sphinx_refs_, filters_[cn].get(),
-          pec(cn), lac(cn), config);
-    }
-    case SystemKind::kSphinxNoFilter: {
-      core::SphinxConfig config;
-      config.tree.scan_jump = scan_jump_;
-      config.tree.replicate_root = root_replicas_;
-      return std::make_unique<core::SphinxIndex>(
-          cluster_, endpoint, allocator, *sphinx_refs_, nullptr, pec(cn),
+          cluster_, endpoint, allocator, *sphinx_refs_, filter(cn), pec(cn),
           lac(cn), config);
     }
     case SystemKind::kSmart:
     case SystemKind::kSmartC:
       return std::make_unique<smart::SmartIndex>(
           cluster_, endpoint, allocator, tree_ref_, *caches_[cn],
-          kind_ == SystemKind::kSmartC ? "SMART+C" : "SMART");
+          system_kind_name(kind_));
     case SystemKind::kArt: {
       art::TreeConfig config = art::ArtIndex::baseline_config();
       config.replicate_root = root_replicas_;

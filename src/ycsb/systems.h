@@ -1,6 +1,7 @@
 // Constructs the four evaluated systems (Sphinx, SMART, SMART+C, ART) plus
-// ablation variants behind a uniform factory interface, owning the shared
-// CN-side state (succinct filter caches, node caches) each system needs.
+// the Sphinx cache-tier ablations behind a uniform factory interface,
+// owning the shared CN-side state (succinct filter caches, node caches)
+// each system needs.
 #pragma once
 
 #include <memory>
@@ -17,29 +18,43 @@
 
 namespace sphinx::ycsb {
 
+// New kinds go at the end: parameterized test names print the value.
 enum class SystemKind {
-  kSphinx,          // INHT + succinct filter cache
+  kSphinx,          // INHT + SFC + prefix entry cache + leaf address cache
   kSphinxNoFilter,  // ablation A1: INHT only (parallel multi-entry reads)
   kSmart,           // ART + CN node cache (paper: 20 MB)
   kSmartC,          // SMART with the large cache (paper: 200 MB)
   kArt,             // plain ART ported to DM
+  kSphinxNoPec,     // ablation: Sphinx without the prefix entry cache
+  kSphinxNoLac,     // ablation: Sphinx without the leaf address cache
+};
+
+// The one name table: display names head bench tables and JSON records;
+// CLI names are what --systems takes.
+struct SystemName {
+  SystemKind kind;
+  const char* display;
+  const char* cli;
+};
+inline constexpr SystemName kSystemNames[] = {
+    {SystemKind::kSphinx, "Sphinx", "sphinx"},
+    {SystemKind::kSphinxNoFilter, "Sphinx-NoSFC", "sphinx-nosfc"},
+    {SystemKind::kSphinxNoPec, "Sphinx-NoPEC", "sphinx-nopec"},
+    {SystemKind::kSphinxNoLac, "Sphinx-NoLAC", "sphinx-nolac"},
+    {SystemKind::kSmart, "SMART", "smart"},
+    {SystemKind::kSmartC, "SMART+C", "smart+c"},
+    {SystemKind::kArt, "ART", "art"},
 };
 
 const char* system_kind_name(SystemKind kind);
+
+// Looks `name` up as a CLI or display name; false if it is neither.
+bool parse_system_kind(const std::string& name, SystemKind* out);
 
 // Per-CN cache budgets from the paper's setup (Sec. V-A).
 constexpr uint64_t kDefaultCacheBudget = 20ull << 20;   // 20 MB
 constexpr uint64_t kLargeCacheBudget = 200ull << 20;    // 200 MB (SMART+C)
 constexpr uint64_t kPaperDatasetKeys = 60'000'000;      // paper: 60 M keys
-
-// Sentinel for SystemSetup's pec_budget_bytes: carve the default prefix
-// entry cache share out of the overall CN cache budget (Sphinx only).
-constexpr uint64_t kAutoPecBudget = ~0ull;
-
-// Same idiom for lac_budget_bytes: carve the default leaf address cache
-// share out of the overall CN cache budget (Sphinx only; the NoFilter
-// ablation keeps auto = off so A1 stays a pure INHT baseline).
-constexpr uint64_t kAutoLacBudget = ~0ull;
 
 // Scales the paper's absolute CN-side cache budget to a scaled-down
 // dataset. The paper pairs 20 MB caches with 60 M keys (4.2% of the u64
@@ -55,21 +70,11 @@ inline uint64_t scaled_cache_budget(uint64_t budget_at_paper_scale,
 class SystemSetup {
  public:
   // Creates the remote structures for `kind` on `cluster` and the per-CN
-  // shared caches sized to `cache_budget_bytes`. `pec_budget_bytes`
-  // controls the Sphinx prefix entry cache: kAutoPecBudget takes the
-  // default 25% slice of the overall budget (5% stays reserved for INHT
-  // directory caches), 0 disables the PEC (the seed SFC-only
-  // configuration), and any other value is an absolute byte budget --
-  // e.g. the PEC-only ablation passes the whole cache budget here with
-  // kind = kSphinxNoFilter. `lac_budget_bytes` controls the leaf address
-  // cache the same way: kAutoLacBudget takes a 25% slice, 0 disables the
-  // LAC (pre-LAC behavior bit for bit), any other value is absolute. The
-  // filter keeps whatever the enabled tiers leave (45% with all three,
-  // 70% pre-LAC, 95% seed).
+  // shared caches sized to `cache_budget_bytes`: SMART's node cache takes
+  // all of it, and each Sphinx variant splits it across its cache tiers by
+  // the table in systems.cpp.
   SystemSetup(SystemKind kind, mem::Cluster& cluster,
-              uint64_t cache_budget_bytes = kDefaultCacheBudget,
-              uint64_t pec_budget_bytes = kAutoPecBudget,
-              uint64_t lac_budget_bytes = kAutoLacBudget);
+              uint64_t cache_budget_bytes = kDefaultCacheBudget);
 
   const std::string& name() const { return name_; }
   SystemKind kind() const { return kind_; }
@@ -109,7 +114,6 @@ class SystemSetup {
   const core::SphinxRefs* sphinx_refs() const {
     return sphinx_refs_ ? sphinx_refs_.get() : nullptr;
   }
-  const art::TreeRef& tree_ref() const { return tree_ref_; }
 
  private:
   SystemKind kind_;

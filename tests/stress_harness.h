@@ -66,13 +66,6 @@ struct StressOptions {
   // Restricts crash injection to one protocol step (kAny = every tagged
   // site), so each crash window can be stressed in isolation.
   rdma::FaultSite crash_site = rdma::FaultSite::kAny;
-  // Sphinx prefix entry cache budget (kAutoPecBudget = default 25% carve,
-  // 0 = disabled); see ycsb::SystemSetup.
-  uint64_t pec_budget = ycsb::kAutoPecBudget;
-  // Sphinx leaf address cache budget (kAutoLacBudget = default 25% carve,
-  // 0 = disabled). The default keeps the LAC in every Sphinx stress mix so
-  // the speculative-read path soaks under the same schedules as the rest.
-  uint64_t lac_budget = ycsb::kAutoLacBudget;
   // Point ops kept in flight per worker. Every worker plans up to this
   // many ops, submits them as one KvIndex::execute_batch call and resolves
   // every outcome -- bracket checks, oracle updates, crash resolution --
@@ -164,8 +157,7 @@ class StressHarness {
   explicit StressHarness(const StressOptions& options)
       : options_(options),
         cluster_(make_test_cluster()),
-        setup_(options.kind, *cluster_, ycsb::kDefaultCacheBudget,
-               options.pec_budget, options.lac_budget),
+        setup_(options.kind, *cluster_, ycsb::kDefaultCacheBudget),
         injector_(options.seed),
         lin_count_(static_cast<size_t>(options.threads) *
                    static_cast<size_t>(options.lin_keys_per_thread)),

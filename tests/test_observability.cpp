@@ -190,28 +190,56 @@ TEST(Attribution, SumsToRoundTripsForEverySystemAndWorkload) {
 
 // ---- LAC off == pre-LAC behavior ------------------------------------------------
 
+TEST(Attribution, SphinxVariantsSizeTiersLikeTheOldBudgetSplit) {
+  // Each Sphinx variant sizes its tiers exactly as the per-tier budget
+  // flags it replaces did, byte for byte: SFC/PEC/LAC shares of 45/25/25
+  // for Sphinx, 70/0/25 without the PEC, 70/25/0 without the LAC, and no
+  // tier at all for the pure-INHT NoSFC baseline. A zero share is a null
+  // tier on every CN.
+  const uint64_t budget = 1 << 20;
+  struct Split {
+    ycsb::SystemKind kind;
+    uint64_t sfc, pec, lac;
+  };
+  const Split splits[] = {{ycsb::SystemKind::kSphinx, 45, 25, 25},
+                          {ycsb::SystemKind::kSphinxNoPec, 70, 0, 25},
+                          {ycsb::SystemKind::kSphinxNoLac, 70, 25, 0},
+                          {ycsb::SystemKind::kSphinxNoFilter, 0, 0, 0}};
+  for (const Split& s : splits) {
+    auto cluster = testing::make_test_cluster(64ull << 20);
+    ycsb::SystemSetup setup(s.kind, *cluster, budget);
+    const char* name = ycsb::system_kind_name(s.kind);
+    auto expect_tier = [&](const auto* tier, uint64_t share, auto with_budget) {
+      if (share == 0) {
+        EXPECT_EQ(tier, nullptr) << name;
+        return;
+      }
+      ASSERT_NE(tier, nullptr) << name;
+      EXPECT_EQ(tier->memory_bytes(),
+                with_budget(budget * share / 100)->memory_bytes())
+          << name;
+    };
+    for (uint32_t cn = 0; cn < cluster->config().num_cns; ++cn) {
+      expect_tier(setup.filter(cn), s.sfc, filter::CuckooFilter::with_budget);
+      expect_tier(setup.pec(cn), s.pec, filter::PrefixEntryCache::with_budget);
+      expect_tier(setup.lac(cn), s.lac, filter::LeafAddressCache::with_budget);
+    }
+  }
+}
+
 TEST(Attribution, NoLacRunIsPreLacBitForBit) {
-  // With the leaf address cache disabled (--no-lac), Sphinx must behave
+  // Without the leaf address cache (sphinx-nolac), Sphinx must behave
   // exactly as it did before the LAC existed: the filter gets its pre-LAC
-  // 70% budget share back, no round trip is ever tagged with the LAC's
-  // fused-read phase, and a fixed-seed single-worker run is deterministic.
+  // 70% budget share back (checked above), no round trip is ever tagged
+  // with the LAC's fused-read phase, and a fixed-seed single-worker run is
+  // deterministic.
   const uint64_t budget = 1 << 20;
   const auto keys = ycsb::generate_u64_keys(2000, 1);
-  auto run_once = [&](uint64_t lac_budget) {
+  auto run_once = [&](ycsb::SystemKind kind) {
     auto cluster = testing::make_test_cluster(64ull << 20);
-    ycsb::SystemSetup setup(ycsb::SystemKind::kSphinx, *cluster, budget,
-                            ycsb::kAutoPecBudget, lac_budget);
-    if (lac_budget == 0) {
-      EXPECT_EQ(setup.lac(0), nullptr);
-      // The LAC's 25% slice returns to the filter: same sizing as the
-      // pre-LAC 70/25 split, byte for byte.
-      const auto pre_lac_filter =
-          filter::CuckooFilter::with_budget(budget * 70 / 100);
-      EXPECT_EQ(setup.filter(0)->memory_bytes(),
-                pre_lac_filter->memory_bytes());
-    } else {
-      EXPECT_NE(setup.lac(0), nullptr);
-    }
+    ycsb::SystemSetup setup(kind, *cluster, budget);
+    EXPECT_EQ(setup.lac(0) == nullptr,
+              kind == ycsb::SystemKind::kSphinxNoLac);
     ycsb::YcsbRunner runner(*cluster, setup.factory(), keys);
     runner.load(1500, 64, /*workers=*/1);
     ycsb::RunOptions options;
@@ -221,8 +249,8 @@ TEST(Attribution, NoLacRunIsPreLacBitForBit) {
     return runner.run(ycsb::standard_workload('C'), options);
   };
 
-  const ycsb::RunResult off_a = run_once(0);
-  const ycsb::RunResult off_b = run_once(0);
+  const ycsb::RunResult off_a = run_once(ycsb::SystemKind::kSphinxNoLac);
+  const ycsb::RunResult off_b = run_once(ycsb::SystemKind::kSphinxNoLac);
   EXPECT_EQ(off_a.net.round_trips, off_b.net.round_trips);
   EXPECT_EQ(off_a.net.bytes_total(), off_b.net.bytes_total());
   EXPECT_EQ(off_a.net.messages, off_b.net.messages);
@@ -236,7 +264,7 @@ TEST(Attribution, NoLacRunIsPreLacBitForBit) {
 
   // The zero check is not vacuous: the same run with the LAC enabled does
   // route warm reads through the fused phase, and saves round trips.
-  const ycsb::RunResult on = run_once(ycsb::kAutoLacBudget);
+  const ycsb::RunResult on = run_once(ycsb::SystemKind::kSphinx);
   EXPECT_GT(on.net.rtts_by_phase[lac_phase], 0u);
   EXPECT_LT(on.net.round_trips, off_a.net.round_trips);
 }

@@ -521,8 +521,8 @@ TEST_F(SphinxScanTest, JumpOnAndOffProduceIdenticalResults) {
   const auto keys = testing::mixed_keys(900, 11);
   for (const auto& k : keys) index_->insert(k, "v:" + k);
 
-  core::SphinxConfig no_jump;
-  no_jump.tree.scan_jump = false;
+  art::TreeConfig no_jump;
+  no_jump.scan_jump = false;
   rdma::Endpoint ep2(cluster_->fabric(), 1, true);
   mem::RemoteAllocator alloc2(*cluster_, ep2);
   core::SphinxIndex plain(*cluster_, ep2, alloc2, refs_, filter_.get(),

@@ -556,7 +556,7 @@ TEST_F(SphinxTest, InhtMemoryOverheadIsSmall) {
   // Paper Sec. III-A / Fig. 6: the INHT adds only a few percent of MN
   // memory on top of the ART itself. At unit-test scale the table's
   // segment granularity dominates, so start it at minimum size; the paper's
-  // 3.3-4.9% figure is validated at full scale by bench_memory.
+  // 3.3-4.9% figure is checked at full scale by bench_ycsb's Fig. 6 table.
   auto cluster = testing::make_test_cluster();
   SphinxRefs refs = create_sphinx(*cluster, /*inht_initial_depth=*/1);
   auto filter = filter::CuckooFilter::with_budget(1 << 20);

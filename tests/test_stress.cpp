@@ -91,10 +91,9 @@ TEST(Stress, SphinxPecCoherenceUnderChurnAndFaults) {
 }
 
 TEST(Stress, SphinxPecDisabledMatchesSeedBehavior) {
-  // pec_budget = 0 reproduces the seed SFC-only configuration: still clean
-  // under faults, with zero PEC traffic.
-  StressOptions options = base_options(ycsb::SystemKind::kSphinx);
-  options.pec_budget = 0;
+  // Sphinx without the prefix entry cache (SFC + LAC): still clean under
+  // faults, with zero PEC traffic.
+  StressOptions options = base_options(ycsb::SystemKind::kSphinxNoPec);
   options.faults = true;
   const StressReport report = run_stress(options);
   expect_clean(report);
@@ -128,10 +127,10 @@ TEST(Stress, SphinxLacCoherenceUnderChurnAndFaults) {
 }
 
 TEST(Stress, SphinxLacDisabledMatchesPreLacBehavior) {
-  // lac_budget = 0 reproduces the two-tier SFC+PEC configuration: still
-  // clean under faults, with zero LAC traffic on any path.
-  StressOptions options = base_options(ycsb::SystemKind::kSphinx);
-  options.lac_budget = 0;
+  // Sphinx without the leaf address cache reproduces the two-tier SFC+PEC
+  // configuration: still clean under faults, with zero LAC traffic on any
+  // path.
+  StressOptions options = base_options(ycsb::SystemKind::kSphinxNoLac);
   options.faults = true;
   const StressReport report = run_stress(options);
   expect_clean(report);
@@ -344,9 +343,8 @@ TEST(Stress, PipelinedSphinxMissPathUnderChurnAndFaults) {
   // posted into rounds shared with the batch's other searches, while deep
   // churn stripes split, grow and move nodes under them, faults reorder
   // verbs and crashes cut batches anywhere.
-  StressOptions options = base_options(ycsb::SystemKind::kSphinx);
+  StressOptions options = base_options(ycsb::SystemKind::kSphinxNoLac);
   options.pipeline_depth = 8;
-  options.lac_budget = 0;
   options.churn_keys_per_thread = 96;
   options.ops_per_thread = 2000;
   options.faults = true;

@@ -86,6 +86,38 @@ TEST(Workload, StandardMixes) {
   }
 }
 
+// ---- systems ---------------------------------------------------------------------
+
+TEST(Systems, NameTableRoundTripsEveryKind) {
+  // Every SystemKind has one name-table row, and both its CLI and display
+  // names parse back to it; anything else is rejected, so a typo in
+  // --systems exits instead of benchmarking the wrong system.
+  std::set<SystemKind> rows;
+  for (const SystemName& n : kSystemNames) {
+    EXPECT_TRUE(rows.insert(n.kind).second) << n.display;
+  }
+  for (int k = 0; k <= static_cast<int>(SystemKind::kSphinxNoLac); ++k) {
+    const auto kind = static_cast<SystemKind>(k);
+    EXPECT_EQ(rows.count(kind), 1u) << k;
+    for (const SystemName& n : kSystemNames) {
+      if (n.kind != kind) continue;
+      EXPECT_STREQ(system_kind_name(kind), n.display);
+      for (const char* name : {n.cli, n.display}) {
+        SystemKind parsed = kind == SystemKind::kArt ? SystemKind::kSphinx
+                                                     : SystemKind::kArt;
+        EXPECT_TRUE(parse_system_kind(name, &parsed)) << name;
+        EXPECT_EQ(parsed, kind) << name;
+      }
+    }
+  }
+  EXPECT_EQ(rows.size(), std::size(kSystemNames));
+  SystemKind out = SystemKind::kSphinx;
+  for (const char* bad :
+       {"bogus", "", "Sphinx-nolac", "sphinx,art", "SPHINX"}) {
+    EXPECT_FALSE(parse_system_kind(bad, &out)) << bad;
+  }
+}
+
 // ---- runner ---------------------------------------------------------------------
 
 TEST(Runner, LoadThenReadBack) {
@@ -246,15 +278,13 @@ struct FingerprintCase {
   SystemKind kind;
   DatasetKind dataset;
   char workload;  // 'X' = churn
-  bool lac;
   const char* golden;  // nonzero fields, "name=value" separated by spaces
 };
 
 std::map<std::string, std::string> depth1_fingerprint(
     const FingerprintCase& c) {
   auto cluster = testing::make_test_cluster();
-  SystemSetup setup(c.kind, *cluster, 16ull << 10, kAutoPecBudget,
-                    c.lac ? kAutoLacBudget : 0);
+  SystemSetup setup(c.kind, *cluster, 16ull << 10);
   YcsbRunner runner(*cluster, setup.factory(),
                     generate_keys(c.dataset, 6000, 3));
   runner.load(4000, 64, /*workers=*/1);

@@ -21,10 +21,11 @@ Checks, per (system, dataset, workload) record:
     and thread scheduling up to batching races -- so a drift beyond the
     tolerance means the protocol itself got chattier (or an accounting bug).
   * loss counters are zero: scan_subtree_skips, scan_leaf_drops,
-    scan_truncated_ops, insert_failures, remove_misses, alloc_failures,
-    alloc_underflows. These count silently dropped or failed work (or
-    accounting drift); CI runs fault-free with ample memory, where any
-    nonzero value is a bug. lac_wrong_value is also checked: a
+    scan_truncated_ops, insert_failures, insert_overflow, remove_misses,
+    alloc_failures, alloc_underflows. These count silently dropped, failed
+    or substituted work (insert_overflow: inserts the bench's key pool
+    could not serve, run as updates) or accounting drift; CI runs
+    fault-free with ample memory, where any nonzero value is a bug. lac_wrong_value is also checked: a
     leaf-address-cache speculative read that returned a wrong value past
     validation is a correctness bug in ANY run, faulted or not.
   * churn rows (workload CHURN, any :pN suffix) actually exercise the
@@ -69,6 +70,7 @@ LOSS_COUNTERS = (
     "scan_leaf_drops",
     "scan_truncated_ops",
     "insert_failures",
+    "insert_overflow",
     "remove_misses",
     "alloc_failures",
     "alloc_underflows",
@@ -104,6 +106,7 @@ KNEE_FIELDS = {
     "read_bytes_per_op": (int, float),
     "misses": int,
     "insert_failures": int,
+    "insert_overflow": int,
     "alloc_failures": int,
     "alloc_underflows": int,
     "client_crashes": int,

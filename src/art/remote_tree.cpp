@@ -831,6 +831,7 @@ bool RemoteTree::insert_replace_invalid_leaf(const TerminatedKey& key,
     }
   } else {
     unlock_node(lock);
+    invalidate_inner(node.addr);  // our view of this node was stale
   }
   return ok;
 }

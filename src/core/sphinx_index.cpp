@@ -15,8 +15,7 @@ SphinxRefs create_sphinx(mem::Cluster& cluster, uint8_t inht_initial_depth) {
 SphinxIndex::SphinxIndex(mem::Cluster& cluster, rdma::Endpoint& endpoint,
                          mem::RemoteAllocator& allocator,
                          const SphinxRefs& refs, filter::CuckooFilter* filter,
-                         filter::PrefixEntryCache* pec,
-                         filter::LeafAddressCache* lac,
+                         filter::HintCache* pec, filter::HintCache* lac,
                          const art::TreeConfig& config)
     : RemoteTree(cluster, endpoint, allocator, refs.tree, config),
       inht_(cluster, endpoint, allocator, refs.inht),
@@ -83,7 +82,7 @@ SphinxIndex::StagedOutcome SphinxIndex::run_staged(BatchOp* ops,
     uint64_t payload = 0;
     if (lac_ != nullptr) {
       s.full_hash = tkey.hash_of_prefix(tkey.size());
-      endpoint_.advance_local(rdma::kLacProbeNs);
+      endpoint_.advance_local(rdma::kHintProbeNs);
       s.hot = false;
       if (lac_->lookup(s.full_hash, &payload, &s.hot)) {
         sstats_.lac_hits++;
@@ -110,7 +109,7 @@ SphinxIndex::StagedOutcome SphinxIndex::run_staged(BatchOp* ops,
     for (uint32_t l = max_len; l >= 1; --l) {
       endpoint_.advance_local(rdma::kFilterProbeNs);
       if (!filter_->contains(hashes[l])) continue;
-      endpoint_.advance_local(rdma::kPecProbeNs);
+      endpoint_.advance_local(rdma::kHintProbeNs);
       uint64_t p = 0;
       bool inner_hot = false;
       if (!pec_->lookup(hashes[l], &p, &inner_hot)) continue;
@@ -319,9 +318,9 @@ void SphinxIndex::resolve_lac(BatchSlot& s, BatchOp& op,
     }
   }
   // Stale binding: the key moved (delete, delete+reinsert, out-of-place
-  // update) or the entry was torn. Purge it -- keyed on the address so a
-  // concurrent refresh survives; the search that follows repopulates the
-  // cache on success (staleness self-heals).
+  // update) or another key's entry shares its tag. Purge it -- keyed on
+  // the address so a concurrent refresh survives; the search that follows
+  // repopulates the cache on success (staleness self-heals).
   sstats_.lac_stale++;
   lac_->invalidate_if(s.full_hash, s.leaf_addr.to48());
   begin_attempt(s);
@@ -421,7 +420,7 @@ bool SphinxIndex::post_walk(StartWalk& w, rdma::DoorbellBatch* batch,
         }
         sstats_.filter_hits++;
         if (pec_ != nullptr) {
-          endpoint_.advance_local(rdma::kPecProbeNs);
+          endpoint_.advance_local(rdma::kHintProbeNs);
           bool hot = false;
           if (pec_->lookup(hash, &w.pec_payload, &hot)) {
             sstats_.pec_hits++;

@@ -7,7 +7,7 @@
 // longest prefix present in the filter cache, read that prefix's hash
 // entry (1 RTT), read the inner node it points to (1 RTT), then descend --
 // normally straight to the leaf (1 RTT): three round trips end to end.
-// The Prefix Entry Cache (filter/prefix_entry_cache.h) removes the first
+// The Prefix Entry Cache (a filter/hint_cache.h instance) removes the first
 // hop on a hit: it caches the 8-byte hash entry itself, so the node read
 // starts immediately and a search costs two round trips. Cached entries
 // are hints only -- every fetched node is re-verified (type, depth, full
@@ -30,8 +30,7 @@
 #include "common/metrics.h"
 #include "core/inht.h"
 #include "filter/cuckoo_filter.h"
-#include "filter/leaf_addr_cache.h"
-#include "filter/prefix_entry_cache.h"
+#include "filter/hint_cache.h"
 
 namespace sphinx::core {
 
@@ -119,18 +118,18 @@ inline SphinxStats& SphinxStats::operator+=(const SphinxStats& o) {
 class SphinxIndex final : public art::RemoteTree {
  public:
   // `filter` is the CN-wide succinct filter cache shared by every worker of
-  // this compute node; pass nullptr to run INHT-only. `pec` is the CN-wide
-  // prefix entry cache, likewise shared and likewise optional, and `lac` is
-  // the CN-wide leaf address cache -- the third tier, same sharing and
-  // optionality. A null pointer is the one off-switch for each tier, and a
-  // PEC or LAC requires the filter: the start walk probes the PEC only at
-  // prefix lengths the filter admits. Cold PEC and LAC hits always hedge
-  // with doorbell fusion (run_staged(), post_walk()).
+  // this compute node; pass nullptr to run INHT-only. `pec` (prefix entry
+  // cache) and `lac` (leaf address cache) are two CN-wide hint caches,
+  // likewise shared and likewise optional: the PEC maps prefix hashes to
+  // INHT payloads, the LAC full-key hashes to leaf bindings. A null
+  // pointer is the one off-switch for each tier, and a PEC or LAC requires
+  // the filter: the start walk probes the PEC only at prefix lengths the
+  // filter admits. Cold PEC and LAC hits always hedge with doorbell fusion
+  // (run_staged(), post_walk()).
   SphinxIndex(mem::Cluster& cluster, rdma::Endpoint& endpoint,
               mem::RemoteAllocator& allocator, const SphinxRefs& refs,
-              filter::CuckooFilter* filter,
-              filter::PrefixEntryCache* pec = nullptr,
-              filter::LeafAddressCache* lac = nullptr,
+              filter::CuckooFilter* filter, filter::HintCache* pec = nullptr,
+              filter::HintCache* lac = nullptr,
               const art::TreeConfig& config = art::TreeConfig());
 
   const char* name() const override { return "Sphinx"; }
@@ -153,8 +152,8 @@ class SphinxIndex final : public art::RemoteTree {
   const SphinxStats& sphinx_stats() const { return sstats_; }
   InhtClient& inht() { return inht_; }
   filter::CuckooFilter* filter() { return filter_; }
-  filter::PrefixEntryCache* pec() { return pec_; }
-  filter::LeafAddressCache* lac() { return lac_; }
+  filter::HintCache* pec() { return pec_; }
+  filter::HintCache* lac() { return lac_; }
 
  protected:
   bool find_start(const art::TerminatedKey& key, PathEntry* out) override;
@@ -176,7 +175,7 @@ class SphinxIndex final : public art::RemoteTree {
       filter_->insert(image.prefix_hash_full());
     }
     if (pec_ != nullptr) {
-      endpoint_.advance_local(rdma::kPecProbeNs);
+      endpoint_.advance_local(rdma::kHintProbeNs);
       pec_->insert(image.prefix_hash_full(),
                    pack_inht_payload(image.type(), addr));
     }
@@ -247,7 +246,7 @@ class SphinxIndex final : public art::RemoteTree {
   void note_leaf_at(Slice terminated_key, rdma::GlobalAddr addr,
                     uint32_t units) override {
     if (lac_ == nullptr) return;
-    endpoint_.advance_local(rdma::kLacProbeNs);
+    endpoint_.advance_local(rdma::kHintProbeNs);
     lac_->insert(art::prefix_hash(terminated_key),
                  filter::pack_lac_payload(units, addr.to48()));
   }
@@ -258,7 +257,7 @@ class SphinxIndex final : public art::RemoteTree {
   void note_leaf_retired(Slice terminated_key,
                          rdma::GlobalAddr addr) override {
     if (lac_ == nullptr) return;
-    endpoint_.advance_local(rdma::kLacProbeNs);
+    endpoint_.advance_local(rdma::kHintProbeNs);
     lac_->invalidate_if(art::prefix_hash(terminated_key), addr.to48());
   }
 
@@ -414,8 +413,8 @@ class SphinxIndex final : public art::RemoteTree {
 
   InhtClient inht_;
   filter::CuckooFilter* filter_;
-  filter::PrefixEntryCache* pec_;
-  filter::LeafAddressCache* lac_;
+  filter::HintCache* pec_;
+  filter::HintCache* lac_;
   SphinxStats sstats_;
   StartWalk walk_;  // start_search()'s walk
   // The doorbell every staged step posts into, reused across rounds.

@@ -1,29 +1,32 @@
 // Memory-node backing store. All remote memory is an array of 8-byte words
-// accessed through std::atomic, so concurrent clients observe exactly the
-// tearing granularity real RDMA NICs guarantee: reads and writes are atomic
-// per 8-byte aligned word, CAS/FAA are fully atomic, and multi-word
+// accessed through std::atomic_ref, so concurrent clients observe exactly
+// the tearing granularity real RDMA NICs guarantee: reads and writes are
+// atomic per 8-byte aligned word, CAS/FAA are fully atomic, and multi-word
 // transfers may interleave (which is why leaf nodes carry checksums and
 // nodes carry status words, per Sec. III-C of the paper).
 #pragma once
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 
 namespace sphinx::rdma {
 
 class MemoryRegion {
  public:
+  // The words come from calloc, so they start zeroed ("all zeroes ==
+  // empty" holds throughout) without being written here: the OS hands out
+  // zero pages and commits each on first touch, and a large region costs
+  // only what the index actually uses.
   explicit MemoryRegion(uint64_t size_bytes)
       : size_(round_up_words(size_bytes)),
-        words_(std::make_unique<std::atomic<uint64_t>[]>(size_ / 8)) {
-    // Zero-fill; std::atomic default-init is indeterminate pre-C++20 and
-    // we rely on "all zeroes == empty" throughout.
-    for (uint64_t i = 0; i < size_ / 8; ++i) {
-      words_[i].store(0, std::memory_order_relaxed);
-    }
+        words_(static_cast<uint64_t*>(std::calloc(size_ / 8, 8))) {
+    if (words_ == nullptr && size_ > 0) throw std::bad_alloc();
   }
 
   uint64_t size() const { return size_; }
@@ -39,14 +42,14 @@ class MemoryRegion {
     auto* out = static_cast<uint8_t*>(dst);
     uint64_t idx = offset / 8;
     while (len >= 8) {
-      const uint64_t w = words_[idx].load(std::memory_order_acquire);
+      const uint64_t w = word(idx).load(std::memory_order_acquire);
       std::memcpy(out, &w, 8);
       out += 8;
       len -= 8;
       ++idx;
     }
     if (len > 0) {
-      const uint64_t w = words_[idx].load(std::memory_order_acquire);
+      const uint64_t w = word(idx).load(std::memory_order_acquire);
       std::memcpy(out, &w, len);
     }
   }
@@ -59,15 +62,15 @@ class MemoryRegion {
     while (len >= 8) {
       uint64_t w;
       std::memcpy(&w, in, 8);
-      words_[idx].store(w, std::memory_order_release);
+      word(idx).store(w, std::memory_order_release);
       in += 8;
       len -= 8;
       ++idx;
     }
     if (len > 0) {
-      uint64_t w = words_[idx].load(std::memory_order_relaxed);
+      uint64_t w = word(idx).load(std::memory_order_relaxed);
       std::memcpy(&w, in, len);
-      words_[idx].store(w, std::memory_order_release);
+      word(idx).store(w, std::memory_order_release);
     }
   }
 
@@ -75,12 +78,12 @@ class MemoryRegion {
 
   uint64_t load64(uint64_t offset) const {
     assert(offset % 8 == 0 && offset + 8 <= size_);
-    return words_[offset / 8].load(std::memory_order_acquire);
+    return word(offset / 8).load(std::memory_order_acquire);
   }
 
   void store64(uint64_t offset, uint64_t value) {
     assert(offset % 8 == 0 && offset + 8 <= size_);
-    words_[offset / 8].store(value, std::memory_order_release);
+    word(offset / 8).store(value, std::memory_order_release);
   }
 
   // Returns true on success; *observed receives the pre-existing value
@@ -89,7 +92,7 @@ class MemoryRegion {
              uint64_t* observed) {
     assert(offset % 8 == 0 && offset + 8 <= size_);
     uint64_t exp = expected;
-    const bool ok = words_[offset / 8].compare_exchange_strong(
+    const bool ok = word(offset / 8).compare_exchange_strong(
         exp, desired, std::memory_order_acq_rel, std::memory_order_acquire);
     if (observed != nullptr) *observed = exp;
     return ok;
@@ -97,14 +100,24 @@ class MemoryRegion {
 
   uint64_t faa64(uint64_t offset, uint64_t delta) {
     assert(offset % 8 == 0 && offset + 8 <= size_);
-    return words_[offset / 8].fetch_add(delta, std::memory_order_acq_rel);
+    return word(offset / 8).fetch_add(delta, std::memory_order_acq_rel);
   }
 
  private:
   static uint64_t round_up_words(uint64_t n) { return (n + 7) & ~7ULL; }
 
+  static_assert(std::atomic_ref<uint64_t>::required_alignment <=
+                alignof(std::max_align_t));  // calloc's alignment suffices
+  std::atomic_ref<uint64_t> word(uint64_t idx) const {
+    return std::atomic_ref<uint64_t>(words_.get()[idx]);
+  }
+
+  struct Free {
+    void operator()(uint64_t* p) const { std::free(p); }
+  };
+
   uint64_t size_;
-  std::unique_ptr<std::atomic<uint64_t>[]> words_;
+  std::unique_ptr<uint64_t[], Free> words_;
 };
 
 }  // namespace sphinx::rdma

@@ -57,8 +57,7 @@ struct NetworkConfig {
 // measurements; this table is what a calibration against measured probe
 // and parse times would replace.
 inline constexpr uint64_t kFilterProbeNs = 15;  // one SFC lookup or insert
-inline constexpr uint64_t kPecProbeNs = 15;     // one prefix entry cache probe
-inline constexpr uint64_t kLacProbeNs = 15;     // one leaf address cache probe
+inline constexpr uint64_t kHintProbeNs = 15;    // one hint cache (PEC/LAC) probe
 inline constexpr uint64_t kPrefixHashNs = 25;   // hashing one key prefix
 // Parsing one tree node image (fetched or cache-hit): a fixed cost plus a
 // per-byte copy/parse term, so a 2 KiB Node-256 costs real CN cycles that a

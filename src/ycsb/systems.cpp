@@ -69,11 +69,11 @@ SystemSetup::SystemSetup(SystemKind kind, mem::Cluster& cluster,
               cache_budget_bytes * shares.sfc / 100));
         }
         if (shares.pec > 0) {
-          pecs_.push_back(filter::PrefixEntryCache::with_budget(
+          pecs_.push_back(filter::HintCache::with_budget(
               cache_budget_bytes * shares.pec / 100));
         }
         if (shares.lac > 0) {
-          lacs_.push_back(filter::LeafAddressCache::with_budget(
+          lacs_.push_back(filter::HintCache::with_budget(
               cache_budget_bytes * shares.lac / 100));
         }
       }

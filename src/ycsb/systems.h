@@ -11,8 +11,7 @@
 #include "art/remote_tree.h"
 #include "core/sphinx_index.h"
 #include "filter/cuckoo_filter.h"
-#include "filter/leaf_addr_cache.h"
-#include "filter/prefix_entry_cache.h"
+#include "filter/hint_cache.h"
 #include "smart/node_cache.h"
 #include "ycsb/runner.h"
 
@@ -102,10 +101,10 @@ class SystemSetup {
   filter::CuckooFilter* filter(uint32_t cn) {
     return cn < filters_.size() ? filters_[cn].get() : nullptr;
   }
-  filter::PrefixEntryCache* pec(uint32_t cn) {
+  filter::HintCache* pec(uint32_t cn) {
     return cn < pecs_.size() ? pecs_[cn].get() : nullptr;
   }
-  filter::LeafAddressCache* lac(uint32_t cn) {
+  filter::HintCache* lac(uint32_t cn) {
     return cn < lacs_.size() ? lacs_[cn].get() : nullptr;
   }
   smart::NodeCache* node_cache(uint32_t cn) {
@@ -124,8 +123,8 @@ class SystemSetup {
   art::TreeRef tree_ref_;
   std::unique_ptr<core::SphinxRefs> sphinx_refs_;
   std::vector<std::unique_ptr<filter::CuckooFilter>> filters_;      // per CN
-  std::vector<std::unique_ptr<filter::PrefixEntryCache>> pecs_;     // per CN
-  std::vector<std::unique_ptr<filter::LeafAddressCache>> lacs_;     // per CN
+  std::vector<std::unique_ptr<filter::HintCache>> pecs_;            // per CN
+  std::vector<std::unique_ptr<filter::HintCache>> lacs_;            // per CN
   std::vector<std::unique_ptr<smart::NodeCache>> caches_;           // per CN
 };
 

@@ -155,13 +155,12 @@ TEST(CrashRecovery, LacNeverServesALeafLeftLockedByACrashedWriter) {
   auto cluster = testing::make_test_cluster();
   const core::SphinxRefs refs = core::create_sphinx(*cluster);
   auto filter = filter::CuckooFilter::with_budget(1 << 16);
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 16);
-  auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+  auto pec = filter::HintCache::with_budget(1 << 16);
+  auto lac = filter::HintCache::with_budget(1 << 16);
   struct Client {
     Client(mem::Cluster& cluster, const core::SphinxRefs& refs, uint32_t cn,
            uint32_t id, filter::CuckooFilter* filter = nullptr,
-           filter::PrefixEntryCache* pec = nullptr,
-           filter::LeafAddressCache* lac = nullptr)
+           filter::HintCache* pec = nullptr, filter::HintCache* lac = nullptr)
         : ep(cluster.fabric(), cn, /*metered=*/true),
           alloc(cluster, ep),
           index(cluster, ep, alloc, refs, filter, pec, lac) {

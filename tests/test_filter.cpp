@@ -1,14 +1,16 @@
 // Unit tests for the succinct filter cache substrate (cuckoo filter with
-// hotness-bit second-chance eviction) and the prefix entry cache (the
-// second, location tier of the CN cache).
+// hotness-bit second-chance eviction) and the hint cache, the one class
+// behind the two location tiers of the CN cache: the prefix entry cache
+// (PEC, INHT payloads) and the leaf address cache (LAC, leaf bindings).
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "common/hash.h"
+#include "core/inht.h"
 #include "filter/cuckoo_filter.h"
-#include "filter/prefix_entry_cache.h"
+#include "filter/hint_cache.h"
 
 namespace sphinx::filter {
 namespace {
@@ -187,10 +189,12 @@ TEST(CuckooFilter, StatsReset) {
   EXPECT_EQ(f.stats().insert_dupes, 0u);
 }
 
-// ---- prefix entry cache -----------------------------------------------
+// ---- hint cache ---------------------------------------------------------
+// The PrefixEntryCache cases drive the class with PEC-style payloads, the
+// LeafAddrCache cases with LAC payloads; both tiers are one HintCache.
 
 TEST(PrefixEntryCache, InsertLookupRoundTrip) {
-  PrefixEntryCache pec(1 << 8);
+  HintCache pec(1 << 8);
   uint64_t payload = 0;
   bool was_hot = true;
   EXPECT_FALSE(pec.lookup(splitmix64(7), &payload, &was_hot));
@@ -206,9 +210,10 @@ TEST(PrefixEntryCache, InsertLookupRoundTrip) {
 }
 
 TEST(PrefixEntryCache, HashZeroIsUsable) {
-  // Hash 0 collides with the empty-tag sentinel and must be remapped, not
-  // lost (the remap trick shared with the cuckoo filter's fingerprint 0).
-  PrefixEntryCache pec(1 << 4);
+  // Hash 0's tag (its top nine bits) collides with the empty-slot sentinel
+  // and must be remapped, not lost (the remap trick shared with the cuckoo
+  // filter's fingerprint 0).
+  HintCache pec(1 << 4);
   uint64_t payload = 0;
   bool was_hot = false;
   pec.insert(0, 0x77);
@@ -217,7 +222,7 @@ TEST(PrefixEntryCache, HashZeroIsUsable) {
 }
 
 TEST(PrefixEntryCache, InPlaceRefreshKeepsHotness) {
-  PrefixEntryCache pec(1 << 4);
+  HintCache pec(1 << 4);
   uint64_t payload = 0;
   bool was_hot = false;
   pec.insert(splitmix64(1), 0xaa);
@@ -230,7 +235,7 @@ TEST(PrefixEntryCache, InPlaceRefreshKeepsHotness) {
 }
 
 TEST(PrefixEntryCache, InvalidateIfRequiresMatchingAddress) {
-  PrefixEntryCache pec(1 << 4);
+  HintCache pec(1 << 4);
   uint64_t payload = 0;
   bool was_hot = false;
   pec.insert(splitmix64(2), 0x500);
@@ -244,31 +249,72 @@ TEST(PrefixEntryCache, InvalidateIfRequiresMatchingAddress) {
   EXPECT_EQ(pec.stats().invalidations, 1u);
 }
 
-// Hashes that all land in the same set of `pec` (mirrors set_index()).
-std::vector<uint64_t> same_set_hashes(const PrefixEntryCache& pec, size_t n) {
+TEST(PrefixEntryCache, InhtPayloadRoundTrip) {
+  // The PEC stores 51-bit INHT payloads (type in bits 48-50, addr48 below)
+  // in the slot's 54-bit payload field: every type and the widest address
+  // survive a cold and a hot lookup, and invalidate_if matches on addr48.
+  HintCache pec(1 << 4);
+  const rdma::GlobalAddr addr(15, (1ULL << 44) - 64);
+  for (art::NodeType type : {art::NodeType::kN4, art::NodeType::kN16,
+                             art::NodeType::kN48, art::NodeType::kN256}) {
+    const uint64_t h = splitmix64(static_cast<uint64_t>(type) + 100);
+    const uint64_t packed = core::pack_inht_payload(type, addr);
+    pec.insert(h, packed);
+    uint64_t payload = 0;
+    bool was_hot = true;
+    for (int touch = 0; touch < 2; ++touch) {
+      ASSERT_TRUE(pec.lookup(h, &payload, &was_hot));
+      EXPECT_EQ(was_hot, touch == 1);
+      EXPECT_EQ(payload, packed);
+      EXPECT_EQ(core::inht_payload_type(payload), type);
+      EXPECT_EQ(core::inht_payload_addr(payload), addr);
+    }
+    EXPECT_FALSE(pec.invalidate_if(h, addr.plus(8).to48()));
+    EXPECT_TRUE(pec.invalidate_if(h, addr.to48()));
+    EXPECT_FALSE(pec.lookup(h, &payload, &was_hot));
+  }
+  // All three type bits, set at once, stay clear of the hot bit.
+  const uint64_t widest = (1ULL << 51) - 1;
+  pec.insert(splitmix64(99), widest);
+  uint64_t payload = 0;
+  bool was_hot = false;
+  ASSERT_TRUE(pec.lookup(splitmix64(99), &payload, &was_hot));
+  ASSERT_TRUE(pec.lookup(splitmix64(99), &payload, &was_hot));
+  EXPECT_TRUE(was_hot);
+  EXPECT_EQ(payload, widest);
+}
+
+// Hashes that all land in the same set of `pec` (mirrors set_index()), each
+// with its own tag (top nine bits), so none refreshes another in place.
+std::vector<uint64_t> same_set_hashes(const HintCache& pec, size_t n) {
   std::vector<uint64_t> out;
   for (uint64_t i = 1; out.size() < n; ++i) {
     const uint64_t h = splitmix64(i);
-    if ((splitmix64(h) & (pec.num_sets() - 1)) == 0) out.push_back(h);
+    if ((splitmix64(h) & (pec.num_sets() - 1)) != 0) continue;
+    bool tag_taken = false;
+    for (uint64_t o : out) {
+      tag_taken |= (o >> HintCache::kTagShift) == (h >> HintCache::kTagShift);
+    }
+    if (!tag_taken) out.push_back(h);
   }
   return out;
 }
 
 TEST(PrefixEntryCache, SecondChanceEvictsColdEntriesFirst) {
-  PrefixEntryCache pec(2);
-  const auto keys = same_set_hashes(pec, PrefixEntryCache::kWays + 1);
+  HintCache pec(2);
+  const auto keys = same_set_hashes(pec, HintCache::kWays + 1);
   uint64_t payload = 0;
   bool was_hot = false;
   // Fill one set, then touch all but one entry so exactly one stays cold.
-  for (uint64_t i = 0; i < PrefixEntryCache::kWays; ++i) {
+  for (uint64_t i = 0; i < HintCache::kWays; ++i) {
     pec.insert(keys[i], 0x100 + i);
   }
-  for (uint64_t i = 1; i < PrefixEntryCache::kWays; ++i) {
+  for (uint64_t i = 1; i < HintCache::kWays; ++i) {
     ASSERT_TRUE(pec.lookup(keys[i], &payload, &was_hot));
   }
   // Overflow insert must displace the cold entry, never a hot one.
-  pec.insert(keys[PrefixEntryCache::kWays], 0x999);
-  for (uint64_t i = 1; i < PrefixEntryCache::kWays; ++i) {
+  pec.insert(keys[HintCache::kWays], 0x999);
+  for (uint64_t i = 1; i < HintCache::kWays; ++i) {
     EXPECT_TRUE(pec.lookup(keys[i], &payload, &was_hot)) << i;
   }
   EXPECT_FALSE(pec.lookup(keys[0], &payload, &was_hot));
@@ -276,24 +322,24 @@ TEST(PrefixEntryCache, SecondChanceEvictsColdEntriesFirst) {
 }
 
 TEST(PrefixEntryCache, AllHotSetStillAcceptsInserts) {
-  PrefixEntryCache pec(2);
-  const auto keys = same_set_hashes(pec, PrefixEntryCache::kWays + 1);
+  HintCache pec(2);
+  const auto keys = same_set_hashes(pec, HintCache::kWays + 1);
   uint64_t payload = 0;
   bool was_hot = false;
-  for (uint64_t i = 0; i < PrefixEntryCache::kWays; ++i) {
+  for (uint64_t i = 0; i < HintCache::kWays; ++i) {
     pec.insert(keys[i], i + 1);
     ASSERT_TRUE(pec.lookup(keys[i], &payload, &was_hot));  // all hot
   }
-  pec.insert(keys[PrefixEntryCache::kWays], 0x42);
+  pec.insert(keys[HintCache::kWays], 0x42);
   ASSERT_TRUE(
-      pec.lookup(keys[PrefixEntryCache::kWays], &payload, &was_hot));
+      pec.lookup(keys[HintCache::kWays], &payload, &was_hot));
   EXPECT_EQ(payload, 0x42u);
-  EXPECT_EQ(pec.size(), PrefixEntryCache::kWays);
+  EXPECT_EQ(pec.size(), HintCache::kWays);
 }
 
 TEST(PrefixEntryCache, WithBudgetRespectsBytes) {
   for (uint64_t budget : {4096ull, 64ull << 10, 1ull << 20}) {
-    auto pec = PrefixEntryCache::with_budget(budget);
+    auto pec = HintCache::with_budget(budget);
     EXPECT_LE(pec->memory_bytes(), budget);
     EXPECT_GE(pec->memory_bytes(), budget / 4);
   }
@@ -301,13 +347,13 @@ TEST(PrefixEntryCache, WithBudgetRespectsBytes) {
 
 TEST(PrefixEntryCache, ConcurrentMixedOpsStayCoherent) {
   // Hammer one small cache from several threads mixing inserts, lookups
-  // and invalidations. The assertion is the torn-pair safety contract: a
+  // and invalidations. The assertion is the one-word slot contract: a
   // successful lookup never returns payload 0, never leaks the hot bit,
-  // and never returns a value no thread wrote. (A tag transiently paired
-  // with *another* key's payload is allowed -- remote validation catches
-  // it -- so the check is membership in the written set, not per-key
-  // equality.)
-  PrefixEntryCache pec(1 << 4);
+  // and never returns a value no thread wrote. (The small integer hashes
+  // all share one 9-bit tag, so a lookup may return *another* key's
+  // payload -- remote validation catches that -- and the check is
+  // membership in the written set, not per-key equality.)
+  HintCache pec(1 << 4);
   constexpr int kThreads = 4;
   constexpr uint64_t kKeys = 64;
   std::atomic<uint64_t> bogus{0};
@@ -331,7 +377,7 @@ TEST(PrefixEntryCache, ConcurrentMixedOpsStayCoherent) {
             break;
           }
           default:
-            pec.invalidate_if(k, payload & PrefixEntryCache::kAddrMask);
+            pec.invalidate_if(k, payload & HintCache::kAddrMask);
             break;
         }
       }
@@ -339,6 +385,38 @@ TEST(PrefixEntryCache, ConcurrentMixedOpsStayCoherent) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(bogus.load(), 0u);
+}
+
+TEST(LeafAddrCache, InsertLookupInvalidate) {
+  HintCache lac(64);
+  const uint64_t h = 0x1234567890abcdefull;
+  const uint64_t payload = pack_lac_payload(3, 0xabc000);
+
+  uint64_t got = 0;
+  bool hot = true;
+  EXPECT_FALSE(lac.lookup(h, &got, &hot));
+
+  lac.insert(h, payload);
+  ASSERT_TRUE(lac.lookup(h, &got, &hot));
+  EXPECT_EQ(got, payload);
+  EXPECT_FALSE(hot);  // first touch: second-chance bit not yet set
+  ASSERT_TRUE(lac.lookup(h, &got, &hot));
+  EXPECT_TRUE(hot);  // the first lookup promoted it
+
+  // Address-keyed invalidation: the wrong address is a no-op (a concurrent
+  // refresh must survive a stale purge), the right one removes the entry.
+  lac.invalidate_if(h, 0xdef000);
+  EXPECT_TRUE(lac.lookup(h, &got, &hot));
+  lac.invalidate_if(h, 0xabc000);
+  EXPECT_FALSE(lac.lookup(h, &got, &hot));
+  EXPECT_EQ(lac.stats().invalidations, 1u);
+}
+
+TEST(LeafAddrCache, BudgetSizingRoundsDown) {
+  // 100 slots of budget must not allocate 128: the budget is a cap.
+  auto lac = HintCache::with_budget(100 * HintCache::kSlotBytes);
+  EXPECT_LE(lac->memory_bytes(), 100 * HintCache::kSlotBytes);
+  EXPECT_GE(lac->capacity(), 1u);
 }
 
 }  // namespace

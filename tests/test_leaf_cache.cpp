@@ -1,16 +1,16 @@
 // Tests for the leaf address cache (LAC), the third CN cache tier: payload
-// packing, the cache structure itself, the one-round-trip warm read, and
-// the deterministic staleness oracles -- every way a cached leaf binding
-// can go stale is forced here and must be caught by the fused validate,
-// with the fallback descent returning the correct value and the cache
-// self-healing on the next access.
+// packing, the one-round-trip warm read, and the deterministic staleness
+// oracles -- every way a cached leaf binding can go stale is forced here
+// and must be caught by the fused validate, with the fallback descent
+// returning the correct value and the cache self-healing on the next
+// access. The cache structure itself is tested in test_filter.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
 #include "core/sphinx_index.h"
-#include "filter/leaf_addr_cache.h"
+#include "filter/hint_cache.h"
 #include "rdma/fault_injector.h"
 #include "test_util.h"
 
@@ -22,40 +22,8 @@ TEST(LacPayload, PackUnpack) {
   const uint64_t p = filter::pack_lac_payload(5, addr48);
   EXPECT_EQ(filter::lac_payload_units(p), 5u);
   EXPECT_EQ(filter::lac_payload_addr48(p), addr48);
-  EXPECT_EQ(p & (1ull << 63), 0u);  // bit 63 stays free for the hot bit
-}
-
-TEST(LeafAddrCache, InsertLookupInvalidate) {
-  filter::LeafAddressCache lac(64);
-  const uint64_t h = 0x1234567890abcdefull;
-  const uint64_t payload = filter::pack_lac_payload(3, 0xabc000);
-
-  uint64_t got = 0;
-  bool hot = true;
-  EXPECT_FALSE(lac.lookup(h, &got, &hot));
-
-  lac.insert(h, payload);
-  ASSERT_TRUE(lac.lookup(h, &got, &hot));
-  EXPECT_EQ(got, payload);
-  EXPECT_FALSE(hot);  // first touch: second-chance bit not yet set
-  ASSERT_TRUE(lac.lookup(h, &got, &hot));
-  EXPECT_TRUE(hot);  // the first lookup promoted it
-
-  // Address-keyed invalidation: the wrong address is a no-op (a concurrent
-  // refresh must survive a stale purge), the right one removes the entry.
-  lac.invalidate_if(h, 0xdef000);
-  EXPECT_TRUE(lac.lookup(h, &got, &hot));
-  lac.invalidate_if(h, 0xabc000);
-  EXPECT_FALSE(lac.lookup(h, &got, &hot));
-  EXPECT_EQ(lac.stats().invalidations, 1u);
-}
-
-TEST(LeafAddrCache, BudgetSizingRoundsDown) {
-  // 100 slots of budget must not allocate 128: the budget is a cap.
-  auto lac = filter::LeafAddressCache::with_budget(
-      100 * filter::LeafAddressCache::kSlotBytes);
-  EXPECT_LE(lac->memory_bytes(), 100 * filter::LeafAddressCache::kSlotBytes);
-  EXPECT_GE(lac->capacity(), 1u);
+  // The tag and hot bit stay free above the slot's 54-bit payload field.
+  EXPECT_EQ(p & ~filter::HintCache::kPayloadMask, 0u);
 }
 
 // Two clients against one Sphinx instance: `reader_` owns the LAC under
@@ -67,8 +35,8 @@ class LeafCacheTest : public ::testing::Test {
     cluster_ = testing::make_test_cluster();
     refs_ = create_sphinx(*cluster_);
     filter_ = filter::CuckooFilter::with_budget(1 << 20);
-    pec_ = filter::PrefixEntryCache::with_budget(1 << 16);
-    lac_ = filter::LeafAddressCache::with_budget(1 << 16);
+    pec_ = filter::HintCache::with_budget(1 << 16);
+    lac_ = filter::HintCache::with_budget(1 << 16);
 
     reader_ep_ = std::make_unique<rdma::Endpoint>(cluster_->fabric(), 0, true);
     reader_alloc_ =
@@ -91,8 +59,8 @@ class LeafCacheTest : public ::testing::Test {
   std::unique_ptr<mem::Cluster> cluster_;
   SphinxRefs refs_;
   std::unique_ptr<filter::CuckooFilter> filter_;
-  std::unique_ptr<filter::PrefixEntryCache> pec_;
-  std::unique_ptr<filter::LeafAddressCache> lac_;
+  std::unique_ptr<filter::HintCache> pec_;
+  std::unique_ptr<filter::HintCache> lac_;
   std::unique_ptr<rdma::Endpoint> reader_ep_;
   std::unique_ptr<mem::RemoteAllocator> reader_alloc_;
   std::unique_ptr<SphinxIndex> reader_;

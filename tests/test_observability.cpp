@@ -221,8 +221,8 @@ TEST(Attribution, SphinxVariantsSizeTiersLikeTheOldBudgetSplit) {
     };
     for (uint32_t cn = 0; cn < cluster->config().num_cns; ++cn) {
       expect_tier(setup.filter(cn), s.sfc, filter::CuckooFilter::with_budget);
-      expect_tier(setup.pec(cn), s.pec, filter::PrefixEntryCache::with_budget);
-      expect_tier(setup.lac(cn), s.lac, filter::LeafAddressCache::with_budget);
+      expect_tier(setup.pec(cn), s.pec, filter::HintCache::with_budget);
+      expect_tier(setup.lac(cn), s.lac, filter::HintCache::with_budget);
     }
   }
 }

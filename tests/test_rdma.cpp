@@ -30,6 +30,19 @@ TEST(GlobalAddr, PackUnpack) {
   EXPECT_EQ(b, a);
 }
 
+TEST(MemoryRegion, FreshRegionReadsZero) {
+  // "All zeroes == empty" holds for every structure the index lays out in
+  // a region, so a fresh one must read zero everywhere, not just up front.
+  const uint64_t size = 48ull << 20;
+  MemoryRegion region(size);
+  EXPECT_EQ(region.size(), size);
+  for (const uint64_t offset : {uint64_t{0}, size / 2, size - 8}) {
+    EXPECT_EQ(region.load64(offset), 0u) << offset;
+  }
+  region.store64(size - 8, 7);
+  EXPECT_EQ(region.load64(size - 8), 7u);
+}
+
 TEST(MemoryRegion, ReadWriteRoundTrip) {
   MemoryRegion region(4096);
   std::vector<uint8_t> data(100);

@@ -16,7 +16,7 @@
 
 #include "art/key.h"
 #include "core/sphinx_index.h"
-#include "filter/leaf_addr_cache.h"
+#include "filter/hint_cache.h"
 #include "memnode/cluster.h"
 #include "memnode/epoch.h"
 #include "memnode/remote_allocator.h"
@@ -163,8 +163,8 @@ TEST(Reclaim, RecycledLeafBlockIsNeverServedForItsOldKey) {
   auto cluster = testing::make_test_cluster();
   core::SphinxRefs refs = core::create_sphinx(*cluster);
   auto filter = filter::CuckooFilter::with_budget(1 << 20);
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 16);
-  auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+  auto pec = filter::HintCache::with_budget(1 << 16);
+  auto lac = filter::HintCache::with_budget(1 << 16);
 
   rdma::Endpoint reader_ep(cluster->fabric(), 0, true);
   mem::RemoteAllocator reader_alloc(*cluster, reader_ep);

@@ -216,6 +216,33 @@ TEST_F(SmartTest, ReinsertVisibleDespiteCachedParent) {
   EXPECT_EQ(v, "a2");
 }
 
+TEST_F(SmartTest, InsertPastStaleCachedParentEvictsIt) {
+  // We cache the node holding key1; a peer removes key1 and inserts key1x,
+  // which takes key1's branch byte in that node (key1's retired block stays
+  // in the peer's quarantine). Our insert of key1 reaches the dead leaf
+  // through the stale cached node, and the image under the node's lock
+  // shows the slot moved: the insert must evict the node, or every retry
+  // reads the same stale image again until the retry budget runs out.
+  ASSERT_TRUE(index_->insert("key1", "a"));
+  ASSERT_TRUE(index_->insert("key2", "b"));
+  std::string v;
+  ASSERT_TRUE(index_->search("key1", &v));  // caches the path to key1
+
+  NodeCache cache2(20ull << 20);
+  rdma::Endpoint ep2(cluster_->fabric(), 1, true);
+  mem::RemoteAllocator alloc2(*cluster_, ep2);
+  SmartIndex peer(*cluster_, ep2, alloc2, ref_, cache2);
+  ASSERT_TRUE(peer.remove("key1"));
+  ASSERT_TRUE(peer.insert("key1x", "c"));
+
+  ASSERT_TRUE(index_->insert("key1", "a2"));
+  ASSERT_TRUE(index_->search("key1", &v));
+  EXPECT_EQ(v, "a2");
+  ASSERT_TRUE(index_->search("key1x", &v));
+  EXPECT_EQ(v, "c");
+  EXPECT_EQ(index_->tree_stats().ops_failed, 0u);
+}
+
 TEST_F(SmartTest, ScanWorksWithCache) {
   std::map<std::string, std::string> oracle;
   const auto keys = testing::mixed_keys(300);

@@ -13,8 +13,7 @@
 #include "common/rng.h"
 #include "common/hash.h"
 #include "core/sphinx_index.h"
-#include "filter/leaf_addr_cache.h"
-#include "filter/prefix_entry_cache.h"
+#include "filter/hint_cache.h"
 #include "rdma/retry_policy.h"
 #include "test_util.h"
 #include "ycsb/dataset.h"
@@ -133,7 +132,7 @@ TEST_F(SphinxTest, WarmSearchTakesThreeRoundTrips) {
 TEST_F(SphinxTest, WarmSearchTakesTwoRoundTripsWithPec) {
   // With the prefix entry cache warm, the hash-entry read disappears: a
   // search is node read + leaf read, two round trips.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 20);
+  auto pec = filter::HintCache::with_budget(1 << 20);
   rdma::Endpoint ep(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc(*cluster_, ep);
   SphinxIndex warm(*cluster_, ep, alloc, refs_, filter_.get(), pec.get());
@@ -164,7 +163,7 @@ TEST_F(SphinxTest, ColdPecHitFusesSpeculativeReadIntoTwoRoundTrips) {
   // A PEC entry seeded by node creation (never looked up -> cold) is
   // hedged: node read + INHT group read go out in one doorbell batch.
   // When the entry is fresh the search still completes in two round trips.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 18);
+  auto pec = filter::HintCache::with_budget(1 << 18);
   rdma::Endpoint ep_a(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc_a(*cluster_, ep_a);
   SphinxIndex writer(*cluster_, ep_a, alloc_a, refs_, filter_.get(),
@@ -197,7 +196,7 @@ TEST_F(SphinxTest, StaleColdPecEntryCostsNoExtraRoundTrip) {
   // INHT group already holds the fresh payload, so recovery needs no
   // additional INHT round trip -- total three RTTs, the same as a search
   // with no PEC at all.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 18);
+  auto pec = filter::HintCache::with_budget(1 << 18);
   rdma::Endpoint ep_a(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc_a(*cluster_, ep_a);
   SphinxIndex writer(*cluster_, ep_a, alloc_a, refs_, filter_.get(),
@@ -243,12 +242,57 @@ TEST_F(SphinxTest, StaleColdPecEntryCostsNoExtraRoundTrip) {
   EXPECT_EQ(reader2.sphinx_stats().pec_stale, 0u);
 }
 
+TEST_F(SphinxTest, PecTagCollisionIsCaughtByNodeValidation) {
+  // The PEC keeps 9-bit tags: two prefixes whose hashes share a set and a
+  // tag share one slot, so a lookup for one returns the other's node. The
+  // node's full prefix hash tells them apart: the search still returns the
+  // right value and counts the entry stale.
+  filter::HintCache pec(2);
+  const uint64_t h1 = art::prefix_hash(Slice("node:"));
+  constexpr uint32_t kTagShift = filter::HintCache::kTagShift;
+  std::string other;
+  for (uint64_t i = 0;; ++i) {
+    other = "c" + std::to_string(i) + ":";
+    const uint64_t h2 = art::prefix_hash(Slice(other));
+    if (h2 >> kTagShift == h1 >> kTagShift &&
+        (splitmix64(h2) & 1) == (splitmix64(h1) & 1)) {
+      break;  // same tag, same set (mirrors HintCache::set_index)
+    }
+  }
+  rdma::Endpoint ep(cluster_->fabric(), 0, true);
+  mem::RemoteAllocator alloc(*cluster_, ep);
+  SphinxIndex client(*cluster_, ep, alloc, refs_, filter_.get(), &pec);
+  ASSERT_TRUE(client.insert("node:a", "va"));
+  ASSERT_TRUE(client.insert("node:b", "vb"));
+  ASSERT_TRUE(client.insert(other + "a", "oa"));
+  ASSERT_TRUE(client.insert(other + "b", "ob"));
+  std::string v;
+  ASSERT_TRUE(client.search(other + "a", &v));  // the slot now names `other`
+  EXPECT_EQ(v, "oa");
+  uint64_t p1 = 0, p2 = 0;
+  bool hot = false;
+  ASSERT_TRUE(pec.lookup(h1, &p1, &hot));
+  ASSERT_TRUE(pec.lookup(art::prefix_hash(Slice(other)), &p2, &hot));
+  EXPECT_EQ(p1, p2);  // one slot answers for both prefixes
+
+  const uint64_t stale0 = client.sphinx_stats().pec_stale;
+  ASSERT_TRUE(client.search("node:a", &v));
+  EXPECT_EQ(v, "va");
+  EXPECT_EQ(client.sphinx_stats().pec_stale, stale0 + 1);
+  // The search re-seeded the slot with this prefix's own node.
+  ASSERT_TRUE(pec.lookup(h1, &p1, &hot));
+  EXPECT_NE(p1, p2);
+  ASSERT_TRUE(client.search(other + "b", &v));
+  EXPECT_EQ(v, "ob");
+  EXPECT_EQ(client.sphinx_stats().pec_stale, stale0 + 2);
+}
+
 TEST_F(SphinxTest, PecStaleEntriesSelfHealAfterTypeSwitches) {
   // Warm a client's PEC, let a second client churn the same prefixes
   // through type switches, then verify the first client's searches (a)
   // stay correct and (b) purge-and-refresh each stale entry exactly once:
   // a second pass over the same keys finds no new staleness.
-  auto pec = filter::PrefixEntryCache::with_budget(1 << 20);
+  auto pec = filter::HintCache::with_budget(1 << 20);
   rdma::Endpoint ep_a(cluster_->fabric(), 0, true);
   mem::RemoteAllocator alloc_a(*cluster_, ep_a);
   SphinxIndex client(*cluster_, ep_a, alloc_a, refs_, filter_.get(),
@@ -341,13 +385,13 @@ TEST_F(SphinxTest, PipelinedSearchesShareEveryRoundTrip) {
   struct Reader {
     rdma::Endpoint ep;
     mem::RemoteAllocator alloc;
-    std::unique_ptr<filter::PrefixEntryCache> pec;
+    std::unique_ptr<filter::HintCache> pec;
     SphinxIndex index;
     Reader(mem::Cluster& cluster, const SphinxRefs& refs,
-           filter::CuckooFilter* filter, filter::LeafAddressCache* lac)
+           filter::CuckooFilter* filter, filter::HintCache* lac)
         : ep(cluster.fabric(), 1, true),
           alloc(cluster, ep),
-          pec(filter::PrefixEntryCache::with_budget(1 << 16)),
+          pec(filter::HintCache::with_budget(1 << 16)),
           index(cluster, ep, alloc, refs, filter, pec.get(), lac) {
       // Warm every MN's INHT directory cache, and nothing else.
       for (uint64_t i = 0; i < 64; ++i) {
@@ -358,7 +402,7 @@ TEST_F(SphinxTest, PipelinedSearchesShareEveryRoundTrip) {
   };
   std::string v;
   for (const char* k : keys) {
-    auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+    auto lac = filter::HintCache::with_budget(1 << 16);
     Reader alone(*cluster_, refs_, filter_.get(), lac.get());
     const uint64_t rtt0 = alone.rtts();
     ASSERT_TRUE(alone.index.search(k, &v));
@@ -388,7 +432,7 @@ TEST_F(SphinxTest, PipelinedSearchesShareEveryRoundTrip) {
   };
 
   {
-    auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+    auto lac = filter::HintCache::with_budget(1 << 16);
     Reader r(*cluster_, refs_, filter_.get(), lac.get());
     const uint64_t inht0 = phase_rtts(r, rdma::Phase::kInhtRead);
     EXPECT_EQ(run_batch(r), 3u);  // serial: 4 x 3 = 12
@@ -406,7 +450,7 @@ TEST_F(SphinxTest, PipelinedSearchesShareEveryRoundTrip) {
   }
   {
     // Bind g0-a in the reader's LAC through a helper sharing only the LAC.
-    auto lac = filter::LeafAddressCache::with_budget(1 << 16);
+    auto lac = filter::HintCache::with_budget(1 << 16);
     Reader helper(*cluster_, refs_, filter_.get(), lac.get());
     ASSERT_TRUE(helper.index.search(keys[0], &v));
     Reader r(*cluster_, refs_, filter_.get(), lac.get());
@@ -587,7 +631,7 @@ class WalkLockTest : public SphinxTest {
  protected:
   void SetUp() override {
     SphinxTest::SetUp();
-    pec_ = filter::PrefixEntryCache::with_budget(1 << 18);
+    pec_ = filter::HintCache::with_budget(1 << 18);
     index_ = std::make_unique<SphinxIndex>(*cluster_, *endpoint_, *allocator_,
                                            refs_, filter_.get(), pec_.get());
     // Lease an allocator chunk on every MN first, so no FAA hides in the
@@ -648,7 +692,7 @@ class WalkLockTest : public SphinxTest {
     return addr;
   }
 
-  std::unique_ptr<filter::PrefixEntryCache> pec_;
+  std::unique_ptr<filter::HintCache> pec_;
   SphinxStats warm_;
   rdma::EndpointStats last_;
 };

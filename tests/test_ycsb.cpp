@@ -271,8 +271,10 @@ TEST(Runner, PipelineDepth1IsBitIdenticalToSerialDefault) {
 // pinned exactly. The golden lines were recorded before the staged search
 // engine existed (the E lines before depth 1 became a batch of one); the
 // Sphinx D, E and CHURN lines were re-recorded when inserts began locking
-// their start node in the start walk's read, each at fewer round trips.
-// Depth-1 traffic must not otherwise move.
+// their start node in the start walk's read, and every Sphinx line when
+// the PEC moved to one-word hint-cache slots (twice the entries in the
+// same bytes), each at fewer round trips. Depth-1 traffic must not
+// otherwise move.
 struct FingerprintCase {
   const char* name;
   SystemKind kind;

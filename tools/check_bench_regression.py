@@ -3,8 +3,14 @@
 
 Usage: check_bench_regression.py SEED.json CURRENT.json [--tolerance=0.05]
        check_bench_regression.py --knee-schema=KNEE.json
+       check_bench_regression.py --clean FILE...
 
-The second form validates a bench_scalability --json knee-curve file
+The --clean form checks bench_ycsb --json files on their own, with no seed:
+every file must hold records, and every record must carry zero in every
+loss counter listed below. The CI smokes whose runs may not lose work use
+it, so the list lives only here.
+
+The --knee-schema form validates a bench_scalability --json knee-curve file
 instead of diffing two runs: every record must carry the full knee schema
 (identity fields, throughput, the dual latency views, per-NIC utilization
 vectors sized to the cluster, balance ratio, loss counters), the
@@ -76,6 +82,39 @@ LOSS_COUNTERS = (
     "alloc_underflows",
     "lac_wrong_value",
 )
+
+
+def loss_failures(rec):
+    """One failure line per nonzero loss counter of a bench_ycsb record."""
+    return ["%s/%s/%s: %s = %d (must be 0)"
+            % (key(rec) + (counter, rec[counter]))
+            for counter in LOSS_COUNTERS if rec.get(counter, 0) != 0]
+
+
+def check_clean(paths):
+    failures = []
+    records = 0
+    for path in paths:
+        try:
+            with open(path) as f:
+                recs = json.load(f)
+        except (OSError, ValueError) as e:
+            sys.stderr.write("cannot load %s: %s\n" % (path, e))
+            return 2
+        if not isinstance(recs, list) or not recs:
+            failures.append("%s: no benchmark records" % path)
+            continue
+        records += len(recs)
+        failures += ["%s: %s" % (path, f) for r in recs
+                     for f in loss_failures(r)]
+    if failures:
+        sys.stderr.write("loss counter check FAILED:\n")
+        for f in failures:
+            sys.stderr.write("  " + f + "\n")
+        return 1
+    print("loss counter check passed: %d records in %d file(s), all zero"
+          % (records, len(paths)))
+    return 0
 
 
 # Knee-curve record schema (bench_scalability --json): field -> required
@@ -193,6 +232,11 @@ def check_knee_schema(path):
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     opts = [a for a in argv[1:] if a.startswith("--")]
+    if "--clean" in opts:
+        if len(opts) != 1 or not args:
+            sys.stderr.write(__doc__)
+            return 2
+        return check_clean(args)
     for o in opts:
         if o.startswith("--knee-schema="):
             if args or len(opts) != 1:
@@ -242,11 +286,7 @@ def main(argv):
                         100.0 * tolerance)))
 
     for k, c in sorted(cur.items()):
-        for counter in LOSS_COUNTERS:
-            v = c.get(counter, 0)
-            if v != 0:
-                failures.append("%s/%s/%s: %s = %d (must be 0)"
-                                % (k + (counter, v)))
+        failures += loss_failures(c)
         wl = k[2]
         if wl.split(":p")[0] == "CHURN":
             if c.get("reclaimed_blocks", 0) == 0:

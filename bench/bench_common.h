@@ -1,5 +1,5 @@
-// Shared plumbing for the benchmark harnesses: cluster sizing, system
-// construction, standard flag handling and row formatting.
+// Plumbing for bench_ycsb: cluster sizing, flag parsing, the standard fault
+// schedule and per-system cache budgets.
 #pragma once
 
 #include <cstdint>
@@ -32,14 +32,13 @@ inline uint64_t mn_bytes_for_keys(uint64_t keys, uint32_t num_mns) {
   return per_mn;
 }
 
-// Builds a cluster sized for `keys` on `config`'s fabric topology (default:
-// the paper testbed, 3 CNs and 3 MNs). `mn_bytes_override` (--mem-budget)
-// replaces the per-MN auto-sizing; a deliberately small budget drives the
-// allocator into degraded mode (alloc_failures / alloc_degraded_ops
-// instead of crashes).
+// Builds a cluster sized for `keys` on `config`'s fabric topology.
+// `mn_bytes_override` (--mem-budget) replaces the per-MN auto-sizing when
+// nonzero; a deliberately small budget drives the allocator into degraded
+// mode (alloc_failures / alloc_degraded_ops instead of crashes).
 inline std::unique_ptr<mem::Cluster> make_cluster(
-    uint64_t keys, uint64_t mn_bytes_override = 0,
-    const rdma::NetworkConfig& config = rdma::NetworkConfig()) {
+    uint64_t keys, uint64_t mn_bytes_override,
+    const rdma::NetworkConfig& config) {
   const uint64_t mn_bytes = mn_bytes_override > 0
                                 ? mn_bytes_override
                                 : mn_bytes_for_keys(keys, config.num_mns);
@@ -75,7 +74,7 @@ inline bool parse_systems(const std::string& spec,
 
 // Fresh keys one phase of `spec` can claim from the runner's key pool: one
 // per op when its mix inserts (every op may draw an insert), else none.
-// A runner serves every phase of a bench in turn, so the pool must cover
+// A runner serves every phase of a cluster in turn, so the pool must cover
 // the sum over all of them; past its end the runner turns inserts into
 // updates (RunResult::insert_overflow).
 inline uint64_t insert_claims(const ycsb::WorkloadSpec& spec,
@@ -137,6 +136,31 @@ inline bool parse_datasets(const std::string& spec,
   }
   if (out->empty()) {
     std::cerr << "--datasets: empty list\n";
+    return false;
+  }
+  return true;
+}
+
+// Parses --workloads as a csv of standard workload letters (A-F, L, either
+// case) and "churn" (the reclamation-stress mix). Unknown or empty tokens
+// are errors.
+inline bool parse_workloads(const std::string& spec,
+                            std::vector<std::string>* out) {
+  out->clear();
+  std::stringstream ss(spec);
+  std::string token;
+  while (std::getline(ss, token, ',')) {
+    if (token != "churn" &&
+        (token.size() != 1 ||
+         std::string("ABCDEFLabcdefl").find(token[0]) == std::string::npos)) {
+      std::cerr << "--workloads: unknown token '" << token
+                << "' (expected a csv of A-F, L and churn)\n";
+      return false;
+    }
+    out->push_back(token);
+  }
+  if (out->empty()) {
+    std::cerr << "--workloads: empty list\n";
     return false;
   }
   return true;

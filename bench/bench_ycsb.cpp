@@ -1,11 +1,12 @@
-// Reproduces Fig. 4 of the paper: YCSB throughput (workloads A, B, C, D, E,
-// F and LOAD) on the u64 and email datasets for Sphinx, SMART (20 MB cache),
-// SMART+C (200 MB cache) and the ART baseline -- and Fig. 6, the MN-side
-// memory each system holds right after its load (inner nodes, leaves, hash
-// table). --workloads also accepts a csv mixing letters with "churn"
-// (20/40/40 read/insert/remove), the epoch-reclamation stress mix;
-// --mem-budget shrinks the per-MN heap to drive the allocator into degraded
-// mode instead of crashing.
+// Reproduces Figs. 4, 5 and 6 of the paper: YCSB throughput (workloads A,
+// B, C, D, E, F and LOAD) on the u64 and email datasets for Sphinx, SMART
+// (20 MB cache), SMART+C (200 MB cache) and the ART baseline (Fig. 4); how
+// throughput and effective latency grow with workers (Fig. 5, and the knee
+// study beyond it); and the MN-side memory each system holds right after
+// its load (Fig. 6: inner nodes, leaves, hash table). --workloads takes a
+// csv of letters and "churn" (20/40/40 read/insert/remove), the
+// epoch-reclamation stress mix; --mem-budget shrinks the per-MN heap to
+// drive the allocator into degraded mode instead of crashing.
 //
 // The paper loads 60 M keys on a 3x128 GB testbed; the default here is a
 // proportional scale-down that regenerates the figure's *shape* (who wins,
@@ -13,11 +14,25 @@
 //
 // Usage:
 //   bench_ycsb [--keys=1000000] [--ops=600] [--workers=192]
-//              [--datasets=u64,email] [--workloads=ABCDEL] [--warmup=1]
-//              [--systems=sphinx,smart,smart+c,art]
-//              [--mem-budget=<bytes per MN>]
+//              [--datasets=u64,email] [--workloads=A,B,C,D,E,L]
+//              [--systems=sphinx,smart,smart+c,art] [--pipeline-depth=1]
+//              [--mns=3] [--root-replicas=1] [--mem-budget=<bytes per MN>]
 //              [--faults=0.02] [--crash-rate=0.0001] [--fault-seed=42]
 //              [--json=out.json] [--trace=out.trace.json] [--no-scan-jump]
+//
+// --workers, --pipeline-depth and --mns each take a csv to sweep. Every
+// (dataset, MN count, system) loads one cluster of that many MNs behind 3
+// CNs, warms the CN caches once at the widest worker count, then runs every
+// workload x depth x worker count in that order. The Fig. 4 and Fig. 6
+// tables keep the first-listed MN count, depth and worker count; with
+// several worker or MN counts each cluster's curve (Fig. 5: throughput,
+// effective latency, NIC stretch and MN balance per worker count) follows
+// them.
+// Depth 1 submits batches of one, with the serial client's traffic; deeper
+// runs keep N point ops in flight per worker
+// (ycsb::RunOptions::pipeline_depth) and report under the workload name
+// suffixed ":p<depth>" so JSON records and the regression gate keep
+// distinct keys.
 //
 // --systems takes a csv of ycsb::kSystemNames CLI names. Besides the four
 // paper systems (the default) it runs the Sphinx cache-tier ablations:
@@ -25,6 +40,9 @@
 // sphinx-nopec (no prefix entry cache) and sphinx-nolac (no leaf address
 // cache, the pre-LAC configuration bit for bit). Each variant splits the
 // same CN cache budget across the tiers it keeps (ycsb/systems.cpp).
+// --root-replicas=0 makes ART and Sphinx read only the primary root (the
+// pre-replication routing) for the before/after knee comparison of
+// DESIGN.md Sec. 15.
 //
 // --faults=<rate> installs the standard background fault schedule
 // (rdma/fault_injector.h) on the fabric for the measured phases: per-verb
@@ -39,21 +57,17 @@
 // histogram) are reported per workload and emitted in --json records.
 //
 // --json=<path> additionally writes one machine-readable record per
-// (system, dataset, workload) -- throughput, RTTs/op, read bytes/op, mean
-// latency, per-phase RTT/byte attribution, crash/recovery counters -- for
-// regression tracking (see BENCH_seed.json and
-// tools/check_bench_regression.py).
+// measured phase -- throughput, RTTs/op, read bytes/op, mean latency,
+// per-phase RTT/byte attribution, crash/recovery counters, and the worker
+// count, MN count, per-NIC utilization vectors and MN message balance that
+// tools/find_knee.py reads -- for regression tracking (see BENCH_seed.json
+// and tools/check_bench_regression.py).
 // --trace=<path> records sampled per-op trace spans (1 in 32 ops) during
 // every measured phase and writes a Chrome trace_event JSON on exit; open
-// it in chrome://tracing or Perfetto. One trace process per
-// (system, dataset, workload).
-// --pipeline-depth=<csv> runs every workload once per listed depth (e.g.
-// "1,8"). Depth 1 submits batches of one, with the serial client's
-// traffic; deeper runs keep N point ops in flight per worker
-// (ycsb::RunOptions::pipeline_depth) and report under the workload name
-// suffixed ":p<depth>" so JSON records and the regression gate keep
-// distinct keys. The Fig. 4 table shows the depth-1 (paper-comparable)
-// numbers; pipelined rows go to stderr and --json.
+// it in chrome://tracing or Perfetto. One trace process per measured phase,
+// named <system>/<dataset>/mns=<M>/w=<workers>/<workload>.
+// Both output paths are opened before the first load: one that cannot be
+// written exits 2.
 #include <algorithm>
 #include <deque>
 #include <fstream>
@@ -75,6 +89,8 @@ namespace {
 struct JsonRecord {
   std::string system;
   std::string dataset;
+  uint32_t num_mns = 0;
+  uint32_t workers = 0;
   ycsb::RunResult result;
   rdma::RecoveryStats recovery;
   rdma::BackoffHistogram backoff;
@@ -133,12 +149,22 @@ std::string phase_breakdown_json(
   return os.str();
 }
 
-void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open --json path: " << path << "\n";
-    return;
+// Serializes a sequence of numbers as a JSON array.
+template <typename Seq>
+std::string json_array(const Seq& values) {
+  std::ostringstream os;
+  os.precision(10);
+  os << "[";
+  const char* sep = "";
+  for (const auto& v : values) {
+    os << sep << v;
+    sep = ", ";
   }
+  os << "]";
+  return os.str();
+}
+
+void write_json(std::ostream& out, const std::vector<JsonRecord>& recs) {
   out.precision(10);
   out << "[\n";
   for (size_t i = 0; i < recs.size(); ++i) {
@@ -149,6 +175,8 @@ void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
     w.field("system", r.system);
     w.field("dataset", r.dataset);
     w.field("workload", res.workload);
+    w.field("workers", static_cast<uint64_t>(r.workers));
+    w.field("num_mns", static_cast<uint64_t>(r.num_mns));
     w.field("ops_per_sec", res.ops_per_sec);
     w.field("rtts_per_op", res.rtts_per_op);
     w.field("read_bytes_per_op", res.read_bytes_per_op);
@@ -161,6 +189,12 @@ void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
     w.field("p50_ns", res.effective_percentile_ns(50));
     w.field("p99_ns", res.effective_percentile_ns(99));
     w.field("nic_utilization", res.nic_utilization);
+    // The per-NIC view behind nic_utilization (its max), and busiest-MN
+    // messages over the per-MN mean: a knee with balance ~1 ran out of
+    // aggregate capacity, one with balance >> 1 has a hot MN.
+    w.raw_field("cn_utilization", json_array(res.cn_utilization));
+    w.raw_field("mn_utilization", json_array(res.mn_utilization));
+    w.field("mn_msg_balance", res.mn_msg_balance);
     w.field("total_ops", res.total_ops);
     w.field("round_trips", res.net.round_trips);
     w.field("messages", res.net.messages);
@@ -206,15 +240,7 @@ void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
     metrics::write_fields(w, r.sphinx, core::kSphinxStatsFields);
     w.field("backoff_waits", r.backoff.waits);
     w.field("backoff_wait_ns", r.backoff.wait_ns);
-    {
-      std::ostringstream hist;
-      hist << "[";
-      for (uint32_t b = 0; b < rdma::BackoffHistogram::kBuckets; ++b) {
-        hist << (b > 0 ? ", " : "") << r.backoff.buckets[b];
-      }
-      hist << "]";
-      w.raw_field("backoff_hist", hist.str());
-    }
+    w.raw_field("backoff_hist", json_array(r.backoff.buckets));
     w.close();
     out << (i + 1 < recs.size() ? ",\n" : "\n");
   }
@@ -285,47 +311,78 @@ void print_memory_table(const std::vector<ycsb::SystemKind>& systems,
   std::cout << "\n";
 }
 
+// Prints one measured phase's stderr line, plus its scan, churn, reclaim
+// and crash breakdowns where they apply.
+void report_phase(const ycsb::RunResult& result, uint32_t workers,
+                  const RecoveryAgg& agg) {
+  std::cerr << "  " << result.workload << ", " << workers << " workers: "
+            << TablePrinter::fmt_mops(result.ops_per_sec) << " ("
+            << TablePrinter::fmt_double(result.rtts_per_op) << " rtt/op, "
+            << result.latency.summary() << ")\n";
+  if (result.scan_ops > 0) {
+    std::cerr << "    scans: " << result.scan_ops << " ("
+              << TablePrinter::fmt_double(result.scan_rtts_per_op)
+              << " rtt/scan, " << agg.scan.jump_starts << " jump starts, "
+              << agg.scan.widen_resumes << " widen-resumes, "
+              << agg.scan.stale_retries << " stale retries, "
+              << agg.scan.subtree_skips << " subtree skips, "
+              << agg.scan.leaf_drops << " leaf drops, "
+              << result.scan_truncated << " truncated)\n";
+  }
+  if (result.remove_ops > 0 || result.rmw_ops > 0) {
+    std::cerr << "    churn: " << result.remove_ops << " removes ("
+              << result.remove_misses << " misses), "
+              << result.reused_key_inserts << " reused-key inserts, "
+              << result.rmw_ops << " rmw (" << result.rmw_misses
+              << " misses)\n";
+  }
+  if (result.retired_bytes_total > 0 || result.alloc_failures > 0) {
+    std::cerr << "    reclaim: " << result.reclaimed_blocks
+              << " blocks recycled, " << (result.retired_bytes_total >> 10)
+              << " KiB retired ("
+              << (result.retired_bytes_outstanding >> 10)
+              << " KiB outstanding, " << (result.leaked_bytes >> 10)
+              << " KiB leaked), " << result.epoch_advances
+              << " epoch advances, " << result.expired_epoch_slots
+              << " slots expired, " << result.alloc_failures
+              << " alloc failures -> " << result.alloc_degraded_ops
+              << " degraded ops, " << result.alloc_underflows
+              << " accounting underflows\n";
+  }
+  if (result.client_crashes > 0 || agg.recovery.lock_reclaims > 0) {
+    std::cerr << "    crashes: " << result.client_crashes
+              << ", lock reclaims: " << agg.recovery.lock_reclaims << " ("
+              << agg.recovery.lock_rollforwards
+              << " roll-forward), lease expiries: "
+              << agg.recovery.lease_expiries_observed
+              << ", retry timeouts: " << agg.recovery.retry_timeouts << "\n";
+  }
+}
+
+// Opens the output file --<flag> names, if any; false, with a diagnostic
+// naming the flag and the path, when it cannot be written.
+bool open_output(const char* flag, const std::string& path,
+                 std::ofstream* out) {
+  if (path.empty()) return true;
+  out->open(path);
+  if (*out) return true;
+  std::cerr << "--" << flag << ": cannot open '" << path
+            << "' for writing\n";
+  return false;
+}
+
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t num_keys = flags.get_u64("keys", 1000000);
   const uint64_t ops_per_worker = flags.get_u64("ops", 600);
-  const uint32_t workers = static_cast<uint32_t>(flags.get_u64("workers", 192));
-  std::vector<ycsb::DatasetKind> datasets;
-  if (!parse_datasets(flags.get_string("datasets", "u64,email"), &datasets)) {
-    return 2;
-  }
-  // Workloads: either the legacy letter string ("ABCDEL") or a csv of
-  // tokens mixing letters with named mixes ("A,B,churn"). Letters map to
-  // standard_workload; "churn" is the reclamation-stress mix.
-  const std::string workloads_flag = flags.get_string("workloads", "ABCDEL");
-  std::vector<std::string> workload_tokens;
-  if (workloads_flag.find(',') == std::string::npos &&
-      workloads_flag.find("churn") == std::string::npos) {
-    for (char c : workloads_flag) workload_tokens.emplace_back(1, c);
-  } else {
-    std::stringstream ws(workloads_flag);
-    std::string tok;
-    while (std::getline(ws, tok, ',')) {
-      if (!tok.empty()) workload_tokens.push_back(tok);
-    }
-  }
-  for (const std::string& tok : workload_tokens) {
-    if (tok != "churn" &&
-        (tok.size() != 1 ||
-         std::string("ABCDEFLabcdefl").find(tok[0]) == std::string::npos)) {
-      std::cerr << "--workloads: unknown token '" << tok << "'\n";
-      return 2;
-    }
-  }
-  auto spec_for = [](const std::string& tok) {
-    return tok == "churn" ? ycsb::churn_workload()
-                          : ycsb::standard_workload(tok[0]);
-  };
+  const std::string workers_flag = flags.get_string("workers", "192");
+  const std::string datasets_flag = flags.get_string("datasets", "u64,email");
+  const std::string workloads_flag =
+      flags.get_string("workloads", "A,B,C,D,E,L");
   // --mem-budget=<bytes>: per-MN region size override. Small budgets make
   // run-phase allocations fail; the expected outcome is degraded ops, not
   // crashes (the degraded-mode smoke asserts exactly that).
   const uint64_t mem_budget = flags.get_u64("mem-budget", 0);
-  const bool warmup = flags.get_bool("warmup", true);
   const double fault_rate = flags.get_double("faults", 0.0);
   const double crash_rate = flags.get_double("crash-rate", 0.0);
   const uint64_t fault_seed = flags.get_u64("fault-seed", 42);
@@ -334,40 +391,62 @@ int run(int argc, char** argv) {
   // A/B switch: run Sphinx scans without the SFC/PEC entry jump (root
   // descents, like the baselines). Point ops keep their caches.
   const bool scan_jump = !flags.get_bool("no-scan-jump", false);
-  std::vector<ycsb::SystemKind> systems;
-  if (!parse_systems(flags.get_string("systems", "sphinx,smart,smart+c,art"),
-                     &systems)) {
-    return 2;
-  }
-  // Pipeline depths to sweep, comma-separated (default: serial only).
-  std::vector<uint32_t> depths;
+  const bool root_replicas = flags.get_u64("root-replicas", 1) != 0;
+  const std::string systems_flag =
+      flags.get_string("systems", "sphinx,smart,smart+c,art");
   const std::string depths_flag = flags.get_string("pipeline-depth", "1");
+  const std::string mns_flag = flags.get_string("mns", "3");
   flags.reject_unknown();
-  if (!parse_u32_list("pipeline-depth", depths_flag, &depths)) {
+  std::vector<uint32_t> worker_counts;
+  std::vector<ycsb::DatasetKind> datasets;
+  std::vector<std::string> workload_tokens;
+  std::vector<ycsb::SystemKind> systems;
+  std::vector<uint32_t> depths;
+  std::vector<uint32_t> mn_counts;
+  if (!parse_u32_list("workers", workers_flag, &worker_counts) ||
+      !parse_datasets(datasets_flag, &datasets) ||
+      !parse_workloads(workloads_flag, &workload_tokens) ||
+      !parse_systems(systems_flag, &systems) ||
+      !parse_u32_list("pipeline-depth", depths_flag, &depths) ||
+      !parse_u32_list("mns", mns_flag, &mn_counts)) {
     return 2;
   }
+  std::ofstream json_out;
+  std::ofstream trace_out;
+  if (!open_output("json", json_path, &json_out) ||
+      !open_output("trace", trace_path, &trace_out)) {
+    return 2;
+  }
+  auto spec_for = [](const std::string& tok) {
+    return tok == "churn" ? ycsb::churn_workload()
+                          : ycsb::standard_workload(tok[0]);
+  };
   auto ops_for = [ops_per_worker](const std::string& tok) {
     return tok == "E" || tok == "e"
                ? std::max<uint64_t>(ops_per_worker / 10, 50)
                : ops_per_worker;
   };
-  // Key pool: the loaded keys plus every key the measured phases can claim
-  // (the warmup is read-only).
+  // Key pool: the loaded keys plus every key the measured phases of one
+  // cluster can claim (the warmup is read-only).
   uint64_t pool = num_keys + 1024;
   for (const std::string& wtok : workload_tokens) {
-    pool += depths.size() *
-            insert_claims(spec_for(wtok), workers, ops_for(wtok));
+    for (const uint32_t workers : worker_counts) {
+      pool += depths.size() *
+              insert_claims(spec_for(wtok), workers, ops_for(wtok));
+    }
   }
+  const uint32_t max_workers =
+      *std::max_element(worker_counts.begin(), worker_counts.end());
   std::vector<JsonRecord> json_records;
-  // One recorder per measured (system, dataset, workload) phase; deque for
-  // stable addresses (TraceProcess keeps pointers into it).
+  // One recorder per measured phase; deque for stable addresses
+  // (TraceProcess keeps pointers into it).
   std::deque<rdma::TraceRecorder> trace_recorders;
   std::vector<rdma::TraceProcess> trace_processes;
   bool attribution_ok = true;
 
   std::cout << "# Fig. 4 -- YCSB throughput, " << num_keys
-            << " loaded keys, " << workers << " workers x " << ops_per_worker
-            << " ops, zipfian 0.99, 64 B values\n";
+            << " loaded keys, " << worker_counts.front() << " workers x "
+            << ops_per_worker << " ops, zipfian 0.99, 64 B values\n";
   if (fault_rate > 0.0 || crash_rate > 0.0) {
     std::cout << "# fault injection on: rate=" << fault_rate
               << " crash-rate=" << crash_rate << " seed=" << fault_seed
@@ -390,149 +469,133 @@ int run(int argc, char** argv) {
     std::vector<std::vector<double>> tput(
         workload_tokens.size(), std::vector<double>(systems.size(), 0.0));
     std::vector<MemoryRow> memory;
+    // Fig. 5 curve tables, printed after the dataset's Fig. 4 and Fig. 6.
+    std::ostringstream curves;
 
-    size_t sys_col = 0;
-    for (const ycsb::SystemKind kind : systems) {
-      auto cluster = make_cluster(pool, mem_budget);
-      ycsb::SystemSetup setup(kind, *cluster, cache_budget_for(kind, num_keys));
-      setup.set_scan_jump(scan_jump);
-      ycsb::YcsbRunner runner(*cluster, setup.factory(), keys);
-      runner.load(num_keys, 64);
-      memory.push_back(MemoryRow::of(*cluster));
-      std::cerr << "[" << ycsb::dataset_name(dataset) << "] loaded "
-                << setup.name() << "\n";
+    for (size_t m = 0; m < mn_counts.size(); ++m) {
+      for (size_t s = 0; s < systems.size(); ++s) {
+        const ycsb::SystemKind kind = systems[s];
+        rdma::NetworkConfig config;
+        config.num_mns = mn_counts[m];
+        auto cluster = make_cluster(pool, mem_budget, config);
+        ycsb::SystemSetup setup(kind, *cluster,
+                                cache_budget_for(kind, num_keys));
+        setup.set_scan_jump(scan_jump);
+        setup.set_root_replicas(root_replicas);
+        ycsb::YcsbRunner runner(*cluster, setup.factory(), keys);
+        runner.load(num_keys, 64);
+        if (m == 0) memory.push_back(MemoryRow::of(*cluster));
+        std::cerr << "[" << ycsb::dataset_name(dataset) << "] loaded "
+                  << setup.name() << " (mns=" << mn_counts[m] << ")\n";
 
-      if (warmup) {
         // One short pass so CN-side caches (filter / node cache) reach
         // steady state before measurement, as in the paper's methodology.
-        ycsb::RunOptions warm;
-        warm.workers = workers;
-        warm.ops_per_worker = std::max<uint64_t>(ops_per_worker / 4, 200);
-        runner.run(ycsb::standard_workload('C'), warm);
-      }
+        {
+          ycsb::RunOptions warm;
+          warm.workers = max_workers;
+          warm.ops_per_worker = std::max<uint64_t>(ops_per_worker / 4, 200);
+          runner.run(ycsb::standard_workload('C'), warm);
+        }
 
-      // Faults perturb only the measured phases; loading and warmup ran
-      // clean so every system starts from an identical healthy state.
-      std::unique_ptr<rdma::FaultInjector> injector;
-      if (fault_rate > 0.0 || crash_rate > 0.0) {
-        injector = make_fault_injector(fault_rate, fault_seed, crash_rate);
-        cluster->fabric().set_fault_injector(injector.get());
-      }
+        // Faults perturb only the measured phases; loading and warmup ran
+        // clean so every system starts from an identical healthy state.
+        std::unique_ptr<rdma::FaultInjector> injector;
+        if (fault_rate > 0.0 || crash_rate > 0.0) {
+          injector = make_fault_injector(fault_rate, fault_seed, crash_rate);
+          cluster->fabric().set_fault_injector(injector.get());
+        }
 
-      // Crash-recovery counters, summed over every worker incarnation of
-      // the current workload (reset between workloads).
-      RecoveryAgg recovery_agg;
-      runner.set_per_worker_hook(
-          [&recovery_agg](KvIndex& index, uint32_t) { recovery_agg.add(index); });
+        // Crash-recovery counters, summed over every worker incarnation of
+        // the current phase (reset between phases).
+        RecoveryAgg recovery_agg;
+        runner.set_per_worker_hook([&recovery_agg](KvIndex& index, uint32_t) {
+          recovery_agg.add(index);
+        });
 
-      size_t row = 0;
-      for (const std::string& wtok : workload_tokens) {
-        for (const uint32_t depth : depths) {
-        recovery_agg.reset();
-        ycsb::RunOptions options;
-        options.workers = workers;
-        options.pipeline_depth = depth;
-        options.ops_per_worker = ops_for(wtok);
-        if (!trace_path.empty()) {
-          trace_recorders.emplace_back();
-          options.trace = &trace_recorders.back();
+        TablePrinter curve({"workload", "workers", "throughput", "eff-mean",
+                            "eff-p50", "eff-p99", "stretch", "balance"});
+        for (size_t w = 0; w < workload_tokens.size(); ++w) {
+          const std::string& wtok = workload_tokens[w];
+          for (const uint32_t depth : depths) {
+            for (const uint32_t workers : worker_counts) {
+              recovery_agg.reset();
+              ycsb::RunOptions options;
+              options.workers = workers;
+              options.pipeline_depth = depth;
+              options.ops_per_worker = ops_for(wtok);
+              if (trace_out.is_open()) {
+                trace_recorders.emplace_back();
+                options.trace = &trace_recorders.back();
+              }
+              ycsb::RunResult result = runner.run(spec_for(wtok), options);
+              // Pipelined rows keep distinct (system, dataset, workload)
+              // keys in the JSON records and the regression gate.
+              if (depth > 1) result.workload += ":p" + std::to_string(depth);
+              if (options.trace != nullptr) {
+                trace_processes.push_back(
+                    {std::string(setup.name()) + "/" +
+                         ycsb::dataset_name(dataset) + "/mns=" +
+                         std::to_string(mn_counts[m]) + "/w=" +
+                         std::to_string(workers) + "/" + result.workload,
+                     options.trace});
+              }
+              // Attribution invariant: every round trip (and byte) carries
+              // exactly one phase tag. A mismatch means a stats bump site
+              // bypassed the phase accounting -- fail the whole bench run.
+              if (result.net.rtts_sum_by_phase() != result.net.round_trips ||
+                  result.net.bytes_sum_by_phase() !=
+                      result.net.bytes_total()) {
+                std::cerr << "ERROR: phase attribution mismatch for "
+                          << setup.name() << "/"
+                          << ycsb::dataset_name(dataset) << "/"
+                          << result.workload << ": sum(phase_rtts)="
+                          << result.net.rtts_sum_by_phase()
+                          << " round_trips=" << result.net.round_trips
+                          << " sum(phase_bytes)="
+                          << result.net.bytes_sum_by_phase()
+                          << " bytes_total=" << result.net.bytes_total()
+                          << "\n";
+                attribution_ok = false;
+              }
+              if (m == 0 && depth == depths.front() &&
+                  workers == worker_counts.front()) {
+                tput[w][s] = result.ops_per_sec;
+              }
+              report_phase(result, workers, recovery_agg);
+              curve.add_row(
+                  {result.workload, std::to_string(workers),
+                   TablePrinter::fmt_mops(result.ops_per_sec),
+                   TablePrinter::fmt_us(result.mean_latency_ns),
+                   TablePrinter::fmt_us(result.effective_percentile_ns(50)),
+                   TablePrinter::fmt_us(result.effective_percentile_ns(99)),
+                   TablePrinter::fmt_double(result.latency_stretch),
+                   TablePrinter::fmt_double(result.mn_msg_balance)});
+              if (json_out.is_open()) {
+                json_records.push_back(
+                    {setup.name(), ycsb::dataset_name(dataset), mn_counts[m],
+                     workers, result, recovery_agg.recovery,
+                     recovery_agg.backoff, recovery_agg.scan,
+                     recovery_agg.sphinx_stats});
+              }
+            }
+          }
         }
-        ycsb::RunResult result = runner.run(spec_for(wtok), options);
-        // Pipelined rows keep distinct (system, dataset, workload) keys in
-        // the JSON records and the regression gate.
-        if (depth > 1) result.workload += ":p" + std::to_string(depth);
-        if (options.trace != nullptr) {
-          trace_processes.push_back(
-              {std::string(setup.name()) + "/" +
-                   ycsb::dataset_name(dataset) + "/" + result.workload,
-               options.trace});
+        runner.set_per_worker_hook(nullptr);
+        if (injector) {
+          std::cerr << "  " << fault_summary(injector->stats()) << "\n";
+          cluster->fabric().set_fault_injector(nullptr);
         }
-        // Attribution invariant: every round trip (and byte) carries exactly
-        // one phase tag. A mismatch means a stats bump site bypassed the
-        // phase accounting -- fail the whole bench run.
-        if (result.net.rtts_sum_by_phase() != result.net.round_trips ||
-            result.net.bytes_sum_by_phase() != result.net.bytes_total()) {
-          std::cerr << "ERROR: phase attribution mismatch for "
-                    << setup.name() << "/" << ycsb::dataset_name(dataset)
-                    << "/" << result.workload << ": sum(phase_rtts)="
-                    << result.net.rtts_sum_by_phase()
-                    << " round_trips=" << result.net.round_trips
-                    << " sum(phase_bytes)=" << result.net.bytes_sum_by_phase()
-                    << " bytes_total=" << result.net.bytes_total() << "\n";
-          attribution_ok = false;
+        if (worker_counts.size() > 1 || mn_counts.size() > 1) {
+          curves << "### Fig. 5 -- " << setup.name() << ", mns="
+                 << mn_counts[m] << "\n"
+                 << curve.render() << "\n";
         }
-        // The Fig. 4 comparison table keeps the first-listed depth
-        // (normally 1, the paper-comparable serial client).
-        if (depth == depths.front()) {
-          tput[row][sys_col] = result.ops_per_sec;
-        }
-        std::cerr << "  " << result.workload << ": "
-                  << TablePrinter::fmt_mops(result.ops_per_sec) << " ("
-                  << TablePrinter::fmt_double(result.rtts_per_op) << " rtt/op, "
-                  << result.latency.summary() << ")\n";
-        if (result.scan_ops > 0) {
-          std::cerr << "    scans: " << result.scan_ops << " ("
-                    << TablePrinter::fmt_double(result.scan_rtts_per_op)
-                    << " rtt/scan, " << recovery_agg.scan.jump_starts
-                    << " jump starts, " << recovery_agg.scan.widen_resumes
-                    << " widen-resumes, " << recovery_agg.scan.stale_retries
-                    << " stale retries, " << recovery_agg.scan.subtree_skips
-                    << " subtree skips, " << recovery_agg.scan.leaf_drops
-                    << " leaf drops, " << result.scan_truncated
-                    << " truncated)\n";
-        }
-        if (result.remove_ops > 0 || result.rmw_ops > 0) {
-          std::cerr << "    churn: " << result.remove_ops << " removes ("
-                    << result.remove_misses << " misses), "
-                    << result.reused_key_inserts << " reused-key inserts, "
-                    << result.rmw_ops << " rmw (" << result.rmw_misses
-                    << " misses)\n";
-        }
-        if (result.retired_bytes_total > 0 || result.alloc_failures > 0) {
-          std::cerr << "    reclaim: " << result.reclaimed_blocks
-                    << " blocks recycled, "
-                    << (result.retired_bytes_total >> 10) << " KiB retired ("
-                    << (result.retired_bytes_outstanding >> 10)
-                    << " KiB outstanding, " << (result.leaked_bytes >> 10)
-                    << " KiB leaked), " << result.epoch_advances
-                    << " epoch advances, " << result.expired_epoch_slots
-                    << " slots expired, " << result.alloc_failures
-                    << " alloc failures -> " << result.alloc_degraded_ops
-                    << " degraded ops, " << result.alloc_underflows
-                    << " accounting underflows\n";
-        }
-        if (result.client_crashes > 0 ||
-            recovery_agg.recovery.lock_reclaims > 0) {
-          std::cerr << "    crashes: " << result.client_crashes
-                    << ", lock reclaims: "
-                    << recovery_agg.recovery.lock_reclaims << " ("
-                    << recovery_agg.recovery.lock_rollforwards
-                    << " roll-forward), lease expiries: "
-                    << recovery_agg.recovery.lease_expiries_observed
-                    << ", retry timeouts: "
-                    << recovery_agg.recovery.retry_timeouts << "\n";
-        }
-        if (!json_path.empty()) {
-          json_records.push_back({setup.name(), ycsb::dataset_name(dataset),
-                                  result, recovery_agg.recovery,
-                                  recovery_agg.backoff, recovery_agg.scan,
-                                  recovery_agg.sphinx_stats});
-        }
-        }
-        row++;
       }
-      runner.set_per_worker_hook(nullptr);
-      if (injector) {
-        std::cerr << "  " << fault_summary(injector->stats()) << "\n";
-        cluster->fabric().set_fault_injector(nullptr);
-      }
-      sys_col++;
     }
 
-    size_t row = 0;
-    for (const std::string& wtok : workload_tokens) {
-      const std::vector<double>& r = tput[row++];
-      std::vector<std::string> cells = {spec_for(wtok).name};
+    for (size_t w = 0; w < workload_tokens.size(); ++w) {
+      const std::vector<double>& r = tput[w];
+      std::vector<std::string> cells = {spec_for(workload_tokens[w]).name};
       double best = 0.0;
       for (size_t i = 0; i < r.size(); ++i) {
         cells.push_back(TablePrinter::fmt_mops(r[i]));
@@ -548,28 +611,23 @@ int run(int argc, char** argv) {
     table.print();
     std::cout << "\n";
     print_memory_table(systems, memory, num_keys);
+    std::cout << curves.str() << std::flush;
   }
-  if (!json_path.empty()) {
-    write_json(json_path, json_records);
+  if (json_out.is_open()) {
+    write_json(json_out, json_records);
     std::cerr << "wrote " << json_records.size() << " records to "
               << json_path << "\n";
   }
-  if (!trace_path.empty()) {
-    std::ofstream tout(trace_path);
-    if (!tout) {
-      std::cerr << "cannot open --trace path: " << trace_path << "\n";
-    } else {
-      rdma::write_chrome_trace(tout, trace_processes);
-      uint64_t events = 0;
-      uint64_t dropped = 0;
-      for (const rdma::TraceRecorder& rec : trace_recorders) {
-        events += rec.events().size();
-        dropped += rec.dropped();
-      }
-      std::cerr << "wrote " << events << " trace events ("
-                << dropped << " dropped at buffer capacity) to "
-                << trace_path << "\n";
+  if (trace_out.is_open()) {
+    rdma::write_chrome_trace(trace_out, trace_processes);
+    uint64_t events = 0;
+    uint64_t dropped = 0;
+    for (const rdma::TraceRecorder& rec : trace_recorders) {
+      events += rec.events().size();
+      dropped += rec.dropped();
     }
+    std::cerr << "wrote " << events << " trace events (" << dropped
+              << " dropped at buffer capacity) to " << trace_path << "\n";
   }
   if (!attribution_ok) {
     std::cerr << "phase attribution check FAILED\n";

@@ -9,6 +9,10 @@ namespace sphinx::art {
 
 namespace {
 
+// Reads a client spends on a leaf image that keeps coming back torn
+// (caught mid-write) before it stops rereading and falls back.
+constexpr uint32_t kMaxLeafReread = 8;
+
 // Rewrites the branch byte of a slot word, keeping valid/leaf/meta/addr.
 uint64_t slot_with_pkey(uint64_t slot_word, uint8_t pkey) {
   return (slot_word & ~(0xffULL << 48)) | (static_cast<uint64_t>(pkey) << 48);
@@ -70,7 +74,7 @@ bool RemoteTree::fetch_inner(rdma::GlobalAddr addr, NodeType type,
 bool RemoteTree::read_leaf(rdma::GlobalAddr addr, uint32_t units,
                            LeafImage* out) {
   out->resize(units);
-  for (uint32_t attempt = 0; attempt < config_.max_leaf_reread; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kMaxLeafReread; ++attempt) {
     endpoint_.read(addr, out->buf().data(), units * kLeafUnitBytes);
     if (out->units() == units &&
         out->revalidate() != LeafImage::Revalidate::kBad) {
@@ -248,7 +252,7 @@ bool RemoteTree::leaf_landed(const TerminatedKey& key, Descent& d,
   if (d.leaf.units() != units ||
       d.leaf.revalidate() == LeafImage::Revalidate::kBad) {
     stats_.torn_leaf_rereads++;
-    if (reads < config_.max_leaf_reread) return false;
+    if (reads < kMaxLeafReread) return false;
     invalidate_inner(d.path.back().addr, d.path.back().image);
     d.status = DescendStatus::kNeedRetry;
     return true;
@@ -1315,7 +1319,7 @@ bool RemoteTree::reclaim_leaf(const TerminatedKey& key, rdma::GlobalAddr addr,
   LeafImage img;
   img.resize(units);
   LeafImage::Revalidate v = LeafImage::Revalidate::kBad;
-  for (uint32_t attempt = 0; attempt < config_.max_leaf_reread; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kMaxLeafReread; ++attempt) {
     endpoint_.read(addr, img.buf().data(), units * kLeafUnitBytes);
     v = img.revalidate();
     if (v != LeafImage::Revalidate::kBad) break;

@@ -77,7 +77,6 @@ struct TreeConfig {
   // with their own cache (SMART) turn it off.
   bool cache_scan_root = true;
   uint32_t max_op_retries = 256;
-  uint32_t max_leaf_reread = 8;
   // Backoff pacing between op retries (the budget is max_op_retries).
   rdma::RetryPolicyConfig retry;
 };

@@ -30,7 +30,7 @@ class Cluster {
  public:
   Cluster(const rdma::NetworkConfig& config, uint64_t mn_size_bytes)
       : fabric_(config, mn_size_bytes),
-        ring_(config.num_mns, config.vnodes_per_mn),
+        ring_(config.num_mns),
         next_bootstrap_slot_(0) {
     for (uint32_t mn = 0; mn < fabric_.num_mns(); ++mn) {
       fabric_.region(mn).store64(kBumpPointerOffset, kHeapBase);

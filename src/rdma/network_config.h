@@ -40,12 +40,6 @@ struct NetworkConfig {
   uint32_t num_cns = 3;
   uint32_t num_mns = 3;
 
-  // Virtual nodes per MN on the consistent-hash ring that places index
-  // nodes across MNs (memnode/consistent_hash.h). More vnodes smooth the
-  // per-MN share at ring-construction cost; bench_scalability sweeps this
-  // to report placement-balance sensitivity.
-  uint32_t vnodes_per_mn = 128;
-
   // Time for a client to decide a verb is lost (transport retry exhausted /
   // QP error surfaced) when its target MN is unreachable; charged per
   // rejected verb under fault injection before the endpoint reissues it.

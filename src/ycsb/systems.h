@@ -92,7 +92,7 @@ class SystemSetup {
   // ops). No effect on non-Sphinx systems.
   void set_scan_jump(bool enabled) { scan_jump_ = enabled; }
 
-  // A/B switch for bench_scalability --root-replicas: when false, ART and
+  // A/B switch for bench_ycsb --root-replicas: when false, ART and
   // Sphinx clients read only the primary root (pre-replication routing),
   // exposing the root MN's NIC as the saturation bottleneck. SMART always
   // runs with replicas off (its NodeCache fronts the primary root).

@@ -69,7 +69,7 @@ TEST(ConsistentHash, VnodeCountTightensBalance) {
   // Sensitivity sweep: more vnodes must not make placement worse, and 512
   // vnodes should pin the busiest MN within ~15% of fair even at 16 MNs.
   // (8 vnodes is legitimately lumpy -- up to ~70% over fair at 16 MNs --
-  // which is why vnodes_per_mn is now a swept NetworkConfig knob.)
+  // which is why clusters build their rings at the default 128.)
   for (uint32_t mns : {4u, 8u, 16u}) {
     const double coarse = ring_imbalance(mns, 8, 200000);
     const double fine = ring_imbalance(mns, 512, 200000);

@@ -153,6 +153,12 @@ TEST(Runner, WideClusterNicModelSeesEveryMn) {
   EXPECT_EQ(per_mn_sum, r.net.messages);
   EXPECT_GT(mns_touched, 8u);  // traffic really spreads past the old cap
   EXPECT_GT(r.nic_utilization, 0.0);
+  // The per-NIC vectors cover the whole fabric, and the balance figure
+  // lies between an even spread (1) and one MN taking every message (12).
+  EXPECT_EQ(r.mn_utilization.size(), 12u);
+  EXPECT_EQ(r.cn_utilization.size(), 3u);
+  EXPECT_GE(r.mn_msg_balance, 1.0);
+  EXPECT_LE(r.mn_msg_balance, 12.0);
 }
 
 // ---- attribution across systems and workloads -----------------------------------

@@ -2,24 +2,16 @@
 """Compare a bench_ycsb --json run against a committed seed.
 
 Usage: check_bench_regression.py SEED.json CURRENT.json [--tolerance=0.05]
-       check_bench_regression.py --knee-schema=KNEE.json
        check_bench_regression.py --clean FILE...
 
 The --clean form checks bench_ycsb --json files on their own, with no seed:
 every file must hold records, and every record must carry zero in every
 loss counter listed below. The CI smokes whose runs may not lose work use
-it, so the list lives only here.
+it, so the list lives only here. It accepts --workers and --mns sweeps,
+whose records share (system, dataset, workload) keys.
 
-The --knee-schema form validates a bench_scalability --json knee-curve file
-instead of diffing two runs: every record must carry the full knee schema
-(identity fields, throughput, the dual latency views, per-NIC utilization
-vectors sized to the cluster, balance ratio, loss counters), the
-utilization vectors must be internally consistent (nic_utilization is
-their max; latency_stretch = max(1, nic_utilization); mn_msg_balance in
-[1, num_mns]), and no two records may share a curve point. It does NOT
-require loss counters to be zero -- sweeps are allowed to drive systems
-into degraded regimes on purpose; CI asserts zero losses separately on
-its own smoke sweep.
+The gate form compares one record per (system, dataset, workload) key: a
+key that occurs twice in either file (a sweep run) is a usage error.
 
 Checks, per (system, dataset, workload) record:
   * rtts_per_op within +/-tolerance (relative) of the seed. RTTs per op are
@@ -28,12 +20,14 @@ Checks, per (system, dataset, workload) record:
     tolerance means the protocol itself got chattier (or an accounting bug).
   * loss counters are zero: scan_subtree_skips, scan_leaf_drops,
     scan_truncated_ops, insert_failures, insert_overflow, remove_misses,
-    alloc_failures, alloc_underflows. These count silently dropped, failed
-    or substituted work (insert_overflow: inserts the bench's key pool
-    could not serve, run as updates) or accounting drift; CI runs
-    fault-free with ample memory, where any nonzero value is a bug. lac_wrong_value is also checked: a
-    leaf-address-cache speculative read that returned a wrong value past
-    validation is a correctness bug in ANY run, faulted or not.
+    alloc_failures, alloc_underflows, client_crashes. These count silently
+    dropped, failed or substituted work (insert_overflow: inserts the
+    bench's key pool could not serve, run as updates; client_crashes:
+    workers killed mid-op) or accounting drift; CI runs fault-free with
+    ample memory, where any nonzero value is a bug. lac_wrong_value is
+    also checked: a leaf-address-cache speculative read that returned a
+    wrong value past validation is a correctness bug in ANY run, faulted
+    or not.
   * churn rows (workload CHURN, any :pN suffix) actually exercise the
     reclamation pipeline: reclaimed_blocks > 0, and the quarantine drains.
     Sphinx churn rows must also report insert_walk_locks > 0: inserts that
@@ -61,7 +55,8 @@ Checks, per (system, dataset, workload) record:
     sibling's ops_per_sec -- the pipelining acceptance bar, locked in so
     the batch engine can't silently degrade to the serial loop.
 
-Exit status: 0 clean, 1 any check failed, 2 usage/IO error.
+Exit status: 0 clean, 1 any check failed, 2 usage/IO error or a duplicate
+gate key.
 """
 import json
 import sys
@@ -80,6 +75,7 @@ LOSS_COUNTERS = (
     "remove_misses",
     "alloc_failures",
     "alloc_underflows",
+    "client_crashes",
     "lac_wrong_value",
 )
 
@@ -117,116 +113,21 @@ def check_clean(paths):
     return 0
 
 
-# Knee-curve record schema (bench_scalability --json): field -> required
-# type(s). Vectors are checked for length against num_cns / num_mns below.
-KNEE_FIELDS = {
-    "system": str,
-    "dataset": str,
-    "workload": str,
-    "num_cns": int,
-    "num_mns": int,
-    "vnodes_per_mn": int,
-    "pipeline_depth": int,
-    "workers": int,
-    "total_ops": int,
-    "ops_per_sec": (int, float),
-    "mean_latency_ns": (int, float),
-    "mean_unloaded_latency_ns": (int, float),
-    "p50_effective_ns": (int, float),
-    "p99_effective_ns": (int, float),
-    "p50_unloaded_ns": (int, float),
-    "p99_unloaded_ns": (int, float),
-    "latency_stretch": (int, float),
-    "nic_utilization": (int, float),
-    "cn_utilization": list,
-    "mn_utilization": list,
-    "mn_msg_balance": (int, float),
-    "rtts_per_op": (int, float),
-    "read_bytes_per_op": (int, float),
-    "misses": int,
-    "insert_failures": int,
-    "insert_overflow": int,
-    "alloc_failures": int,
-    "alloc_underflows": int,
-    "client_crashes": int,
-}
-
-
-def check_knee_schema(path):
-    try:
-        with open(path) as f:
-            records = json.load(f)
-    except (OSError, ValueError) as e:
-        sys.stderr.write("cannot load knee file: %s\n" % e)
-        return 2
-    if not isinstance(records, list) or not records:
-        sys.stderr.write("%s: expected a non-empty JSON array\n" % path)
-        return 1
-    failures = []
-    seen = set()
-    for i, r in enumerate(records):
-        where = "record %d" % i
-        if not isinstance(r, dict):
-            failures.append("%s: not an object" % where)
-            continue
-        bad = False
-        for field, types in KNEE_FIELDS.items():
-            if field not in r:
-                failures.append("%s: missing field '%s'" % (where, field))
-                bad = True
-            elif not isinstance(r[field], types):
-                failures.append("%s: field '%s' has type %s" %
-                                (where, field, type(r[field]).__name__))
-                bad = True
-        if bad:
-            continue
-        where = "%s/%s/%s mns=%d workers=%d" % (
-            r["system"], r["dataset"], r["workload"], r["num_mns"],
-            r["workers"])
-        point = (r["system"], r["dataset"], r["workload"], r["num_cns"],
-                 r["num_mns"], r["vnodes_per_mn"], r["pipeline_depth"],
-                 r["workers"])
-        if point in seen:
-            failures.append("%s: duplicate curve point" % where)
-        seen.add(point)
-        cn, mn = r["cn_utilization"], r["mn_utilization"]
-        if len(cn) != r["num_cns"]:
-            failures.append("%s: cn_utilization has %d entries, num_cns=%d"
-                            % (where, len(cn), r["num_cns"]))
-        if len(mn) != r["num_mns"]:
-            failures.append("%s: mn_utilization has %d entries, num_mns=%d"
-                            % (where, len(mn), r["num_mns"]))
-        utils = [u for u in cn + mn if isinstance(u, (int, float))]
-        if len(utils) != len(cn) + len(mn) or any(u < 0 for u in utils):
-            failures.append("%s: utilization vectors must hold non-negative "
-                            "numbers" % where)
-            continue
-        if utils and abs(r["nic_utilization"] - max(utils)) > \
-                1e-6 * max(1.0, max(utils)):
-            failures.append(
-                "%s: nic_utilization=%.6f != max(per-NIC)=%.6f"
-                % (where, r["nic_utilization"], max(utils)))
-        want_stretch = max(1.0, r["nic_utilization"])
-        if abs(r["latency_stretch"] - want_stretch) > 1e-6 * want_stretch:
-            failures.append(
-                "%s: latency_stretch=%.6f != max(1, nic_utilization)=%.6f"
-                % (where, r["latency_stretch"], want_stretch))
-        if not (1.0 - 1e-9 <= r["mn_msg_balance"] <= r["num_mns"] + 1e-9):
-            failures.append("%s: mn_msg_balance=%.4f outside [1, num_mns=%d]"
-                            % (where, r["mn_msg_balance"], r["num_mns"]))
-        if r["workers"] <= 0 or r["total_ops"] <= 0 or r["ops_per_sec"] <= 0:
-            failures.append("%s: non-positive workers/total_ops/ops_per_sec"
-                            % where)
-        if r["p99_effective_ns"] < r["p50_effective_ns"]:
-            failures.append("%s: p99_effective < p50_effective" % where)
-    if failures:
-        sys.stderr.write("knee schema check FAILED:\n")
-        for f in failures:
-            sys.stderr.write("  " + f + "\n")
-        return 1
-    print("knee schema check passed: %d records, %d curve points"
-          % (len(records), len(seen)))
-    return 0
+def load_keyed(path):
+    """The records of one gate file keyed by (system, dataset, workload);
+    None, with a diagnostic, when two records share a key."""
+    with open(path) as f:
+        recs = json.load(f)
+    keyed = {}
+    for r in recs:
+        if key(r) in keyed:
+            sys.stderr.write("%s: two records for %s/%s/%s; the gate "
+                             "compares one per key (use --clean for "
+                             "--workers or --mns sweeps)\n"
+                             % ((path,) + key(r)))
+            return None
+        keyed[key(r)] = r
+    return keyed
 
 
 def main(argv):
@@ -237,12 +138,6 @@ def main(argv):
             sys.stderr.write(__doc__)
             return 2
         return check_clean(args)
-    for o in opts:
-        if o.startswith("--knee-schema="):
-            if args or len(opts) != 1:
-                sys.stderr.write(__doc__)
-                return 2
-            return check_knee_schema(o.split("=", 1)[1])
     if len(args) != 2:
         sys.stderr.write(__doc__)
         return 2
@@ -254,12 +149,12 @@ def main(argv):
             sys.stderr.write("unknown option: %s\n" % o)
             return 2
     try:
-        with open(args[0]) as f:
-            seed = {key(r): r for r in json.load(f)}
-        with open(args[1]) as f:
-            cur = {key(r): r for r in json.load(f)}
+        seed = load_keyed(args[0])
+        cur = load_keyed(args[1])
     except (OSError, ValueError) as e:
         sys.stderr.write("cannot load inputs: %s\n" % e)
+        return 2
+    if seed is None or cur is None:
         return 2
 
     # One bench cluster serves every workload/depth of a (system, dataset)

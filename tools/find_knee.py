@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Locate the saturation knee in bench_scalability --json knee curves.
+"""Locate the saturation knee in a bench_ycsb --json worker sweep.
 
-Usage: find_knee.py KNEE.json [--threshold=1.05]
+Usage: find_knee.py SWEEP.json [--threshold=1.05]
 
-Groups records into curves by (system, dataset, workload, num_cns,
-num_mns, vnodes_per_mn, pipeline_depth) and walks each curve in worker
-order. The knee is the FIRST worker count whose latency_stretch exceeds
-the threshold (default 1.05, i.e. the busiest NIC is 5% past its unloaded
+SWEEP.json comes from a bench_ycsb run with several worker counts
+(--workers=6,12,24,...). Records are grouped into curves by (system,
+dataset, workload, num_mns) -- the workload name carries the pipeline
+depth as a ":pN" suffix -- and each curve is walked in worker order. The
+knee is the FIRST worker count whose latency_stretch exceeds the
+threshold (default 1.05, i.e. the busiest NIC is 5% past its unloaded
 service capacity); curves that never cross report '-' with their top-end
 stretch so "didn't knee" is distinguishable from "wasn't swept far
 enough".
@@ -29,8 +31,7 @@ import sys
 
 
 def curve_key(rec):
-    return (rec["system"], rec["dataset"], rec["workload"], rec["num_cns"],
-            rec["num_mns"], rec["vnodes_per_mn"], rec["pipeline_depth"])
+    return (rec["system"], rec["dataset"], rec["workload"], rec["num_mns"])
 
 
 def gating_nic(rec):
@@ -62,7 +63,7 @@ def main(argv):
         with open(args[0]) as f:
             records = json.load(f)
     except (OSError, ValueError) as e:
-        sys.stderr.write("cannot load knee file: %s\n" % e)
+        sys.stderr.write("cannot load sweep file: %s\n" % e)
         return 2
 
     curves = {}
@@ -72,7 +73,7 @@ def main(argv):
     rows = []
     for key in sorted(curves, key=lambda k: tuple(map(str, k))):
         pts = sorted(curves[key], key=lambda r: r["workers"])
-        system, dataset, workload, _, num_mns, vnodes, depth = key
+        system, dataset, workload, num_mns = key
         peak_mops = max(p["ops_per_sec"] for p in pts) / 1e6
         knee = next((p for p in pts if p["latency_stretch"] > threshold),
                     None)
@@ -80,8 +81,6 @@ def main(argv):
         rows.append((
             system, dataset, workload,
             "%d" % num_mns,
-            "%d" % vnodes,
-            "%d" % depth,
             "%d" % knee["workers"] if knee is not None else "-",
             "%.2f" % at["latency_stretch"],
             "%.2f" % peak_mops,
@@ -89,9 +88,8 @@ def main(argv):
             "%.2f" % at["mn_msg_balance"],
         ))
 
-    header = ("system", "dataset", "workload", "mns", "vnodes", "depth",
-              "knee@workers", "stretch", "peak-Mops", "gating-nic",
-              "mn-balance")
+    header = ("system", "dataset", "workload", "mns", "knee@workers",
+              "stretch", "peak-Mops", "gating-nic", "mn-balance")
     widths = [max(len(header[i]), max((len(r[i]) for r in rows), default=0))
               for i in range(len(header))]
     def fmt(cells):
@@ -101,7 +99,7 @@ def main(argv):
     print("|" + "|".join("-" * (w + 2) for w in widths) + "|")
     for r in rows:
         print(fmt(r))
-    kneed = sum(1 for r in rows if r[6] != "-")
+    kneed = sum(1 for r in rows if r[4] != "-")
     sys.stderr.write("%d/%d curves knee past stretch %.2f\n"
                      % (kneed, len(rows), threshold))
     return 0
